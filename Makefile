@@ -77,6 +77,8 @@ fuzz:
 	$(GO) test -fuzz FuzzCacheGet -fuzztime 10s ./internal/schedcache
 	$(GO) test -fuzz FuzzSimEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzVerifierDifferential -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCampaign -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzIgnoreDirective -fuzztime 10s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzHotpathDirective -fuzztime 10s ./internal/lint
 

@@ -126,15 +126,22 @@ type Latency struct {
 }
 
 // PeerReport is one peer's server-side counters scraped after the run.
+// A schedule lookup tries the artifact LRU first and schedcache only on an
+// artifact miss, so CacheHits counts lookups either layer answered and
+// CacheMisses the ones that reached schedcache's miss path; the Artifact
+// fields are the artifact LRU's own counters.
 type PeerReport struct {
-	Peer           string `json:"peer"`
-	Requests       int64  `json:"requests"`
-	NotModified    int64  `json:"notModified"`
-	CacheHits      int64  `json:"cacheHits"`
-	CacheMisses    int64  `json:"cacheMisses"`
-	Constructions  int64  `json:"constructions"`
-	LoopRejects    int64  `json:"loopRejects"`
-	LocalFallbacks int64  `json:"localFallbacks"`
+	Peer              string `json:"peer"`
+	Requests          int64  `json:"requests"`
+	NotModified       int64  `json:"notModified"`
+	CacheHits         int64  `json:"cacheHits"`
+	CacheMisses       int64  `json:"cacheMisses"`
+	ArtifactHits      int64  `json:"artifactHits"`
+	ArtifactMisses    int64  `json:"artifactMisses"`
+	ArtifactEvictions int64  `json:"artifactEvictions"`
+	Constructions     int64  `json:"constructions"`
+	LoopRejects       int64  `json:"loopRejects"`
+	LocalFallbacks    int64  `json:"localFallbacks"`
 }
 
 // File is the BENCH_serve.json document.
@@ -417,21 +424,25 @@ func scrapePeer(client *http.Client, base string) (PeerReport, error) {
 	}
 	defer resp.Body.Close() //nolint:errcheck // test scrape
 	var m struct {
-		Cache       map[string]int64 `json:"cache"`
-		Requests    int64            `json:"requests"`
-		NotModified int64            `json:"not_modified"`
-		Shard       *shard.Metrics   `json:"shard"`
+		Cache       map[string]int64    `json:"cache"`
+		Artifacts   serve.ArtifactStats `json:"artifacts"`
+		Requests    int64               `json:"requests"`
+		NotModified int64               `json:"not_modified"`
+		Shard       *shard.Metrics      `json:"shard"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		return PeerReport{}, err
 	}
 	pr := PeerReport{
-		Peer:          base,
-		Requests:      m.Requests,
-		NotModified:   m.NotModified,
-		CacheHits:     m.Cache["hits"],
-		CacheMisses:   m.Cache["misses"],
-		Constructions: m.Cache["constructions"],
+		Peer:              base,
+		Requests:          m.Requests,
+		NotModified:       m.NotModified,
+		CacheHits:         m.Artifacts.Hits + m.Cache["hits"],
+		CacheMisses:       m.Cache["misses"],
+		ArtifactHits:      m.Artifacts.Hits,
+		ArtifactMisses:    m.Artifacts.Misses,
+		ArtifactEvictions: m.Artifacts.Evictions,
+		Constructions:     m.Cache["constructions"],
 	}
 	if m.Shard != nil {
 		pr.LoopRejects = m.Shard.LoopRejects

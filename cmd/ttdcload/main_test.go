@@ -161,3 +161,33 @@ func TestLoadAgainstInprocRing(t *testing.T) {
 		}
 	}
 }
+
+// TestPeerReportsCountArtifactHits pins the per-peer cache counters to the
+// layer that answers repeats: with four keys over 300 requests every key
+// repeats, and the artifact LRU in front of schedcache serves the repeats.
+func TestPeerReportsCountArtifactHits(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-inproc", "3", "-requests", "300", "-c", "2", "-keys", "4", "-seed", "7"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var doc File
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var artHits, artMisses, hits, constructions int64
+	for _, pr := range doc.PeerReports {
+		if pr.CacheHits < pr.ArtifactHits {
+			t.Fatalf("peer %s: cacheHits %d below its artifact hits %d", pr.Peer, pr.CacheHits, pr.ArtifactHits)
+		}
+		artHits += pr.ArtifactHits
+		artMisses += pr.ArtifactMisses
+		hits += pr.CacheHits
+		constructions += pr.Constructions
+	}
+	if artHits == 0 || hits == 0 {
+		t.Fatalf("repeated keys recorded no cache hits: %+v", doc.PeerReports)
+	}
+	if artMisses < constructions || constructions == 0 {
+		t.Fatalf("artifact misses %d, constructions %d: every construction follows an artifact miss", artMisses, constructions)
+	}
+}

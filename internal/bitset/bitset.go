@@ -321,6 +321,85 @@ func (s *Set) DifferenceIntersectionCount(o, mask *Set) int {
 	return n
 }
 
+// Transpose returns the transpose of the bit matrix whose row i is rows[i]:
+// cols sets, each with capacity len(rows), such that i is in set j exactly
+// when j is in rows[i]. Elements of a row at or beyond cols are ignored, and
+// a row shorter than cols reads as zero-padded.
+//
+// It moves whole 64×64 bit blocks, a few word operations per 64 elements.
+// The returned sets share one backing slab; each holds a full-capacity
+// sub-slice of it, so no set can reach its neighbour's words.
+func Transpose(rows []*Set, cols int) []*Set {
+	if cols < 0 {
+		panic(fmt.Sprintf("bitset: Transpose with %d columns", cols))
+	}
+	n := len(rows)
+	outWords := (n + wordBits - 1) / wordBits
+	slab := make([]uint64, cols*outWords)
+	sets := make([]Set, cols)
+	out := make([]*Set, cols)
+	for j := range sets {
+		sets[j] = Set{words: slab[j*outWords : (j+1)*outWords : (j+1)*outWords], cap: n}
+		out[j] = &sets[j]
+	}
+	src := make([][]uint64, n)
+	for i, r := range rows {
+		src[i] = r.words
+	}
+	// Column words outermost: the 64 output sets of one column word are
+	// written front to back, and the rows' words are read in order.
+	var blk [wordBits]uint64
+	for cw := 0; cw*wordBits < cols; cw++ {
+		jn := minInt(wordBits, cols-cw*wordBits)
+		for rw := 0; rw < outWords; rw++ {
+			block := src[rw*wordBits : minInt(n, (rw+1)*wordBits)]
+			for k, w := range block {
+				blk[k] = 0
+				if cw < len(w) {
+					blk[k] = w[cw]
+				}
+			}
+			for k := len(block); k < wordBits; k++ {
+				blk[k] = 0
+			}
+			transpose64(&blk)
+			for j := 0; j < jn; j++ {
+				slab[(cw*wordBits+j)*outWords+rw] = blk[j]
+			}
+		}
+	}
+	return out
+}
+
+// transpose64 transposes the 64×64 bit matrix whose row k is a[k], bit j
+// of a word being column j: afterwards bit k of a[j] holds what bit j of
+// a[k] held. Each round swaps the off-diagonal halves of every diagonal
+// block, blocks of 64 rows first, then 32, ..., then 2 (Hacker's Delight
+// §7-3, for least-significant-bit-first columns).
+func transpose64(a *[wordBits]uint64) {
+	swapBlocks(a, 32, 0x00000000FFFFFFFF)
+	swapBlocks(a, 16, 0x0000FFFF0000FFFF)
+	swapBlocks(a, 8, 0x00FF00FF00FF00FF)
+	swapBlocks(a, 4, 0x0F0F0F0F0F0F0F0F)
+	swapBlocks(a, 2, 0x3333333333333333)
+	swapBlocks(a, 1, 0x5555555555555555)
+}
+
+// swapBlocks is one round of transpose64: in every block of 2j rows it
+// swaps the high-j columns of the first j rows (within each 2j-column
+// group, selected by m) with the low-j columns of the last j rows. The
+// &63 masks let the compiler drop the bounds checks.
+func swapBlocks(a *[wordBits]uint64, j int, m uint64) {
+	for base := 0; base < wordBits; base += 2 * j {
+		for k := base; k < base+j; k++ {
+			lo, hi := &a[k&63], &a[(k+j)&63]
+			t := (*lo>>uint(j) ^ *hi) & m
+			*lo ^= t << uint(j)
+			*hi ^= t
+		}
+	}
+}
+
 // Words exposes the backing word slice (bit i of word w is element
 // 64*w + i). It exists for the verification kernels in internal/core, whose
 // innermost leaf loops fuse several set operations into single word scans;
@@ -344,12 +423,19 @@ func (s *Set) ForEach(fn func(i int) bool) {
 
 // Elements returns the elements of the set in increasing order.
 func (s *Set) Elements() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
+	return s.AppendElements(make([]int, 0, s.Count()))
+}
+
+// AppendElements appends the elements of the set to dst in increasing
+// order and returns the extended slice.
+func (s *Set) AppendElements(dst []int) []int {
+	for wi, w := range s.words {
+		for w != 0 {
+			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // Min returns the smallest element, or -1 if the set is empty.

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -405,4 +406,110 @@ func BenchmarkForEach(b *testing.B) {
 		x.ForEach(func(e int) bool { sum += e; return true })
 	}
 	_ = sum
+}
+
+// transposeRef is the bit-by-bit reference for Transpose.
+func transposeRef(rows []*Set, cols int) []*Set {
+	out := make([]*Set, cols)
+	for j := range out {
+		out[j] = New(len(rows))
+	}
+	for i, r := range rows {
+		r.ForEach(func(j int) bool {
+			if j < cols {
+				out[j].Add(i)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+func checkTranspose(t *testing.T, name string, rows []*Set, cols int) {
+	t.Helper()
+	got, want := Transpose(rows, cols), transposeRef(rows, cols)
+	if len(got) != cols {
+		t.Fatalf("%s: %d sets, want %d", name, len(got), cols)
+	}
+	for j := range want {
+		if got[j].Cap() != len(rows) || !got[j].Equal(want[j]) {
+			t.Fatalf("%s: set %d = %v (cap %d), want %v (cap %d)",
+				name, j, got[j], got[j].Cap(), want[j], len(rows))
+		}
+	}
+}
+
+func TestTransposeMatchesBitByBit(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	sizes := []int{0, 1, 63, 64, 65, 130}
+	fills := map[string]func(n int) *Set{
+		"zero": New,
+		"one": func(n int) *Set {
+			s := New(n)
+			for i := 0; i < n; i++ {
+				s.Add(i)
+			}
+			return s
+		},
+		"random": func(n int) *Set { return randomSet(r, n) },
+	}
+	for _, fill := range []string{"zero", "one", "random"} {
+		for _, nrows := range sizes {
+			for _, cols := range sizes {
+				rows := make([]*Set, nrows)
+				for i := range rows {
+					rows[i] = fills[fill](cols)
+				}
+				checkTranspose(t, fmt.Sprintf("%s %dx%d", fill, nrows, cols), rows, cols)
+			}
+		}
+	}
+}
+
+func TestTransposeUnevenRows(t *testing.T) {
+	// Rows shorter than cols read as zero-padded; elements at or beyond
+	// cols are dropped; a row may repeat.
+	r := rand.New(rand.NewSource(11))
+	short, long := randomSet(r, 40), randomSet(r, 200)
+	long.Add(199)
+	rows := []*Set{short, long, New(0), long, randomSet(r, 130)}
+	for _, cols := range []int{0, 39, 64, 100, 130, 199, 200, 260} {
+		checkTranspose(t, fmt.Sprintf("uneven x%d", cols), rows, cols)
+	}
+}
+
+func TestTransposeViewsAreSeparate(t *testing.T) {
+	rows := make([]*Set, 70)
+	for i := range rows {
+		rows[i] = New(3)
+	}
+	out := Transpose(rows, 3)
+	for j, s := range out {
+		if w := s.Words(); len(w) != 2 || cap(w) != len(w) {
+			t.Fatalf("set %d: len %d cap %d, want a full 2-word slice", j, len(w), cap(w))
+		}
+	}
+	out[1].Add(69)
+	out[1].Add(0)
+	if !out[0].Empty() || !out[2].Empty() || out[1].Count() != 2 {
+		t.Fatalf("writing set 1 reached its neighbours: %v %v %v", out[0], out[1], out[2])
+	}
+}
+
+func BenchmarkTranspose(b *testing.B) {
+	// About the shape of a campaign schedule's per-slot sets: 2048 slots
+	// over 8192 nodes, a quarter of them set.
+	r := rand.New(rand.NewSource(1))
+	rows := make([]*Set, 2048)
+	for i := range rows {
+		rows[i] = New(8192)
+		for k := 0; k < 2048; k++ {
+			rows[i].Add(r.Intn(8192))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Transpose(rows, 8192)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitset"
+	"repro/internal/gf"
 	"repro/internal/stats"
 )
 
@@ -395,6 +396,69 @@ func BenchmarkSTS61(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := STS(61); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// evalRef evaluates the polynomial with the given coefficients (lowest
+// degree first) at x by Horner's rule with table multiplication: the
+// per-coefficient reference for Polynomial's member sets.
+func evalRef(f *gf.Field, tb *gf.Tables, coeffs []int, x int) int {
+	v := 0
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		v = f.Add(tb.Mul(v, x), coeffs[i])
+	}
+	return v
+}
+
+func TestTablesEvalReference(t *testing.T) {
+	f, err := gf.NewOrder(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := gf.NewTables(f)
+	coeffs := []int{4, 7, 2, 5}
+	for x := 0; x < 9; x++ {
+		if evalRef(f, tb, coeffs, x) != f.Eval(coeffs, x) {
+			t.Fatalf("Eval mismatch at %d", x)
+		}
+	}
+}
+
+// TestPolynomialMatchesEvalReference pins every member set of the
+// parent-row construction against per-coefficient evaluation, over prime
+// and prime-power fields and node counts that stop mid-row.
+func TestPolynomialMatchesEvalReference(t *testing.T) {
+	for _, c := range []struct{ n, d int }{
+		{2, 1}, {9, 2}, {25, 2}, {64, 3}, {100, 2}, {400, 4}, {1000, 3}, {8400, 3}, {9000, 2},
+	} {
+		p, err := FindPolynomialParams(c.n, c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fam, err := Polynomial(c.n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := gf.NewOrder(p.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := gf.NewTables(f)
+		coeffs := make([]int, p.K+1)
+		for x := 0; x < c.n; x++ {
+			v := x
+			for i := range coeffs {
+				coeffs[i] = v % p.Q
+				v /= p.Q
+			}
+			want := bitset.New(p.FrameLength())
+			for j := 0; j < p.Q; j++ {
+				want.Add(p.Q*j + evalRef(f, tb, coeffs, j))
+			}
+			if !fam.Sets[x].Equal(want) || fam.Sets[x].Cap() != want.Cap() {
+				t.Fatalf("n=%d D=%d (q=%d, k=%d): set %d = %v, want %v", c.n, c.d, p.Q, p.K, x, fam.Sets[x], want)
+			}
 		}
 	}
 }

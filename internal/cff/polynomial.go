@@ -78,21 +78,26 @@ func Polynomial(n int, p PolynomialParams) (*Family, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cff: bad field order %d: %w", p.Q, err)
 	}
-	// Exp/log tables amortize across the n·q polynomial evaluations.
+	// Horner's rule splits off the constant coefficient: with x = q·y + c,
+	// f_x(e) = c + e·f_y(e). Row y of vals holds f_y at every field
+	// element, and y < x for x >= 1, so each value is one table Mul and
+	// one field Add on a row already computed. Only rows y < ⌈n/q⌉ are
+	// ever parents.
 	tables := gf.NewTables(field)
 	q := p.Q
 	L := q * q
+	parents := (n + q - 1) / q
+	vals := make([]int, parents*q)
 	sets := make([]*bitset.Set, n)
-	coeffs := make([]int, p.K+1)
 	for x := 0; x < n; x++ {
-		v := x
-		for i := range coeffs {
-			coeffs[i] = v % q
-			v /= q
-		}
+		parent := vals[(x/q)*q : (x/q+1)*q]
 		s := bitset.New(L)
-		for j := 0; j < q; j++ {
-			s.Add(q*j + tables.Eval(coeffs, j))
+		for j, fy := range parent {
+			v := field.Add(x%q, tables.Mul(j, fy))
+			if x < parents {
+				vals[x*q+j] = v
+			}
+			s.Add(q*j + v)
 		}
 		sets[x] = s
 	}

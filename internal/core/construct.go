@@ -91,21 +91,27 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 
 	div := newDivider(n, opts.Strategy)
 	var outT, outR []*bitset.Set
+	var tElems, rElems []int // reused: a slot's subsets are built before the next slot
 	for i := 0; i < ns.L(); i++ {
-		tElems := ns.t[i].Elements()
-		rElems := ns.r[i].Elements() // == V_n - T[i] for non-sleeping input
+		tElems = ns.t[i].AppendElements(tElems[:0])
+		rElems = ns.r[i].AppendElements(rElems[:0]) // == V_n - T[i] for non-sleeping input
 		if len(tElems) == 0 {
 			// A slot nobody transmits in contributes nothing; Figure 2's
 			// loop would emit k_T = 0 subsets. Skip it.
 			continue
 		}
-		tSubsets := div.divideT(tElems, sizeT)
+		// Each subset becomes one set shared by all k_T·k_R output slots
+		// it appears in; only a receiver subset that line 8 pads is
+		// copied, because its padding depends on the transmitter subset.
+		tSets := subsetSets(n, div.divideT(tElems, sizeT))
 		rSubsets := div.divideR(rElems, opts.AlphaR)
-		for _, ts := range tSubsets {
-			for _, rsub := range rSubsets {
-				tSet := bitset.FromSlice(n, ts)
-				rSet := bitset.FromSlice(n, rsub)
-				div.pad(rSet, tSet, opts.AlphaR)
+		rSets := subsetSets(n, rSubsets)
+		for _, tSet := range tSets {
+			for j, rSet := range rSets {
+				if len(rSubsets[j]) < opts.AlphaR {
+					rSet = rSet.Clone()
+					div.pad(rSet, tSet, opts.AlphaR)
+				}
 				outT = append(outT, tSet)
 				outR = append(outR, rSet)
 			}
@@ -114,11 +120,20 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 	if len(outT) == 0 {
 		return nil, fmt.Errorf("core: Construct produced an empty schedule (no slot has transmitters)")
 	}
-	out, err := FromSets(n, outT, outR)
+	out, err := fromOwnedSets(n, outT, outR)
 	if err != nil {
 		return nil, fmt.Errorf("core: Construct internal error: %w", err)
 	}
 	return out, nil
+}
+
+// subsetSets builds one bitset over V_n per subset.
+func subsetSets(n int, subsets [][]int) []*bitset.Set {
+	sets := make([]*bitset.Set, len(subsets))
+	for i, sub := range subsets {
+		sets[i] = bitset.FromSlice(n, sub)
+	}
+	return sets
 }
 
 // divider implements the two division strategies. The Balanced strategy
@@ -148,7 +163,8 @@ func (d *divider) divideR(elems []int, size int) [][]int {
 
 // divide splits elems into k = ⌈m/size⌉ subsets, each of size
 // min(size, m), per lines 3-4 of Figure 2. Subsets may overlap; their
-// union is all of elems.
+// union is all of elems. Sequential subsets are read-only windows of
+// elems.
 func (d *divider) divide(elems []int, size int, use []int) [][]int {
 	m := len(elems)
 	if m == 0 {
@@ -181,7 +197,7 @@ func (d *divider) divide(elems []int, size int, use []int) [][]int {
 			if start+size > m {
 				start = m - size
 			}
-			out[j] = append([]int(nil), elems[start:start+size]...)
+			out[j] = elems[start : start+size : start+size]
 		}
 	}
 	return out

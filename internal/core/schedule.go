@@ -24,10 +24,11 @@ import (
 // concurrent use.
 type Schedule struct {
 	n int
-	t []*bitset.Set // per slot, capacity n
+	t []*bitset.Set // per slot, capacity n; slots may share a set
 	r []*bitset.Set
 	// Per-node slot sets (capacity L), precomputed for the checkers:
-	// tran[x] = {i : x ∈ T[i]}, recv[x] = {i : x ∈ R[i]}.
+	// tran[x] = {i : x ∈ T[i]}, recv[x] = {i : x ∈ R[i]}. Each family is
+	// one block transpose of the slot sets, backed by a single slab.
 	tran []*bitset.Set
 	recv []*bitset.Set
 }
@@ -57,39 +58,67 @@ func New(n int, t, r [][]int) (*Schedule, error) {
 			rs[i].Add(x)
 		}
 	}
-	return FromSets(n, ts, rs)
+	return fromOwnedSets(n, ts, rs)
 }
 
 // FromSets builds a schedule from per-slot bitsets. The sets are cloned;
 // callers may keep mutating their copies.
 func FromSets(n int, t, r []*bitset.Set) (*Schedule, error) {
+	if err := checkSlotSets(n, t, r); err != nil {
+		return nil, err
+	}
+	return newSchedule(n, cloneSets(t), cloneSets(r)), nil
+}
+
+// fromOwnedSets is FromSets for slot sets this package built itself and
+// never touches again: they go into the schedule without a clone, and
+// several slots may share one set.
+func fromOwnedSets(n int, t, r []*bitset.Set) (*Schedule, error) {
+	if err := checkSlotSets(n, t, r); err != nil {
+		return nil, err
+	}
+	return newSchedule(n, t, r), nil
+}
+
+// checkSlotSets validates per-slot sets for FromSets: equal positive
+// lengths, capacity n, and T[i] ∩ R[i] = ∅ in every slot.
+func checkSlotSets(n int, t, r []*bitset.Set) error {
 	if n < 1 {
-		return nil, fmt.Errorf("core: n = %d < 1", n)
+		return fmt.Errorf("core: n = %d < 1", n)
 	}
 	if len(t) == 0 || len(t) != len(r) {
-		return nil, fmt.Errorf("core: need equal positive |T| and |R|, got %d and %d", len(t), len(r))
-	}
-	L := len(t)
-	s := &Schedule{
-		n: n,
-		t: make([]*bitset.Set, L),
-		r: make([]*bitset.Set, L),
+		return fmt.Errorf("core: need equal positive |T| and |R|, got %d and %d", len(t), len(r))
 	}
 	for i := range t {
 		if t[i] == nil || r[i] == nil {
-			return nil, fmt.Errorf("core: nil slot set at %d", i)
+			return fmt.Errorf("core: nil slot set at %d", i)
 		}
 		if t[i].Cap() != n || r[i].Cap() != n {
-			return nil, fmt.Errorf("core: slot %d set capacity != n = %d", i, n)
+			return fmt.Errorf("core: slot %d set capacity != n = %d", i, n)
 		}
 		if t[i].Intersects(r[i]) {
-			return nil, fmt.Errorf("core: slot %d has a node both transmitting and receiving", i)
+			return fmt.Errorf("core: slot %d has a node both transmitting and receiving", i)
 		}
-		s.t[i] = t[i].Clone()
-		s.r[i] = r[i].Clone()
 	}
-	s.buildNodeViews()
-	return s, nil
+	return nil
+}
+
+func cloneSets(sets []*bitset.Set) []*bitset.Set {
+	out := make([]*bitset.Set, len(sets))
+	for i, s := range sets {
+		out[i] = s.Clone()
+	}
+	return out
+}
+
+// newSchedule takes ownership of validated slot sets and derives the
+// per-node views from them.
+func newSchedule(n int, t, r []*bitset.Set) *Schedule {
+	return &Schedule{
+		n: n, t: t, r: r,
+		tran: bitset.Transpose(t, n),
+		recv: bitset.Transpose(r, n),
+	}
 }
 
 // NonSleeping builds the schedule ⟨T⟩ in which every node not transmitting
@@ -108,25 +137,33 @@ func NonSleeping(n int, t [][]int) (*Schedule, error) {
 			ts[i].Add(x)
 		}
 	}
-	return NonSleepingFromSets(n, ts)
+	return nonSleeping(n, ts)
 }
 
 // NonSleepingFromSets is NonSleeping for prebuilt transmitter bitsets.
 func NonSleepingFromSets(n int, t []*bitset.Set) (*Schedule, error) {
+	for i := range t {
+		if t[i] == nil {
+			return nil, fmt.Errorf("core: nil transmitter set at slot %d", i)
+		}
+	}
+	return nonSleeping(n, cloneSets(t))
+}
+
+// nonSleeping is NonSleepingFromSets for transmitter sets the package
+// owns.
+func nonSleeping(n int, t []*bitset.Set) (*Schedule, error) {
 	rs := make([]*bitset.Set, len(t))
 	full := bitset.New(n)
 	for x := 0; x < n; x++ {
 		full.Add(x)
 	}
 	for i := range t {
-		if t[i] == nil {
-			return nil, fmt.Errorf("core: nil transmitter set at slot %d", i)
-		}
 		r := full.Clone()
 		r.DifferenceWith(t[i])
 		rs[i] = r
 	}
-	return FromSets(n, t, rs)
+	return fromOwnedSets(n, t, rs)
 }
 
 // ScheduleFromFamily builds the non-sleeping schedule whose per-node
@@ -142,49 +179,15 @@ func ScheduleFromFamily(l int, sets []*bitset.Set) (*Schedule, error) {
 	if l < 1 {
 		return nil, fmt.Errorf("core: frame length %d < 1", l)
 	}
-	t := make([]*bitset.Set, l)
-	for i := range t {
-		t[i] = bitset.New(n)
-	}
 	for x, slots := range sets {
 		if slots == nil {
 			return nil, fmt.Errorf("core: nil member set %d", x)
 		}
-		bad := -1
-		slots.ForEach(func(i int) bool {
-			if i >= l {
-				bad = i
-				return false
-			}
-			t[i].Add(x)
-			return true
-		})
-		if bad >= 0 {
-			return nil, fmt.Errorf("core: member set %d contains slot %d >= L = %d", x, bad, l)
+		if m := slots.Max(); m >= l {
+			return nil, fmt.Errorf("core: member set %d contains slot %d >= L = %d", x, m, l)
 		}
 	}
-	return NonSleepingFromSets(n, t)
-}
-
-// buildNodeViews computes tran[x] and recv[x] from the slot sets.
-func (s *Schedule) buildNodeViews() {
-	L := len(s.t)
-	s.tran = make([]*bitset.Set, s.n)
-	s.recv = make([]*bitset.Set, s.n)
-	for x := 0; x < s.n; x++ {
-		s.tran[x] = bitset.New(L)
-		s.recv[x] = bitset.New(L)
-	}
-	for i := 0; i < L; i++ {
-		s.t[i].ForEach(func(x int) bool {
-			s.tran[x].Add(i)
-			return true
-		})
-		s.r[i].ForEach(func(x int) bool {
-			s.recv[x].Add(i)
-			return true
-		})
-	}
+	return nonSleeping(n, bitset.Transpose(sets, l))
 }
 
 // N returns the size of the node universe V_n.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -90,6 +91,29 @@ func TestNonSleepingComplement(t *testing.T) {
 	}
 }
 
+// checkNodeViews compares every node's Tran and Recv views with a
+// bit-by-bit transpose of the slot sets.
+func checkNodeViews(t *testing.T, name string, s *Schedule) {
+	t.Helper()
+	for x := 0; x < s.N(); x++ {
+		tran, recv := bitset.New(s.L()), bitset.New(s.L())
+		for i := 0; i < s.L(); i++ {
+			if s.T(i).Contains(x) {
+				tran.Add(i)
+			}
+			if s.R(i).Contains(x) {
+				recv.Add(i)
+			}
+		}
+		if s.Tran(x).Cap() != s.L() || !s.Tran(x).Equal(tran) {
+			t.Fatalf("%s: tran(%d) = %v, want %v", name, x, s.Tran(x), tran)
+		}
+		if s.Recv(x).Cap() != s.L() || !s.Recv(x).Equal(recv) {
+			t.Fatalf("%s: recv(%d) = %v, want %v", name, x, s.Recv(x), recv)
+		}
+	}
+}
+
 func TestTranRecvViews(t *testing.T) {
 	s, err := New(4, [][]int{{0, 1}, {2}, {0}}, [][]int{{2, 3}, {0, 3}, {1}})
 	if err != nil {
@@ -104,6 +128,129 @@ func TestTranRecvViews(t *testing.T) {
 	if !s.Tran(3).Empty() {
 		t.Fatalf("tran(3) = %v", s.Tran(3))
 	}
+	checkNodeViews(t, "New 4x3", s)
+}
+
+// TestTranRecvViewsEveryConstructor checks the per-node views of every
+// schedule constructor at node counts and frame lengths around the 64-bit
+// word boundaries.
+func TestTranRecvViewsEveryConstructor(t *testing.T) {
+	rng := stats.NewRNG(41)
+	sizes := []int{1, 2, 63, 64, 65, 130}
+	for _, n := range sizes {
+		for _, l := range sizes {
+			name := func(ctor string) string { return fmt.Sprintf("%s n=%d L=%d", ctor, n, l) }
+			fs := randomSchedule(rng, n, l, 0.3, 0.5) // FromSets
+			checkNodeViews(t, name("FromSets"), fs)
+
+			tl, rl := make([][]int, l), make([][]int, l)
+			for i := 0; i < l; i++ {
+				tl[i], rl[i] = fs.T(i).Elements(), fs.R(i).Elements()
+			}
+			s, err := New(n, tl, rl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("New"), s)
+			if s, err = NonSleeping(n, tl); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("NonSleeping"), s)
+
+			fam := make([]*bitset.Set, n)
+			for x := range fam {
+				fam[x] = bitset.New(l)
+				for i := 0; i < l; i++ {
+					if rng.Bool(0.4) {
+						fam[x].Add(i)
+					}
+				}
+			}
+			if s, err = ScheduleFromFamily(l, fam); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("ScheduleFromFamily"), s)
+			for x := range fam {
+				if !s.Tran(x).Equal(fam[x]) {
+					t.Fatalf("%s: tran(%d) = %v, want member set %v", name("ScheduleFromFamily"), x, s.Tran(x), fam[x])
+				}
+			}
+
+			perm := rng.Perm(n)
+			if s, err = PermuteNodes(fs, perm); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("PermuteNodes"), s)
+			checkNodeViews(t, name("RotateSlots"), RotateSlots(fs, l/2+1))
+			if s, err = Concat(fs, fs); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("Concat"), s)
+			if s, err = Repeat(fs, 2); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("Repeat"), s)
+			if s, err = Restrict(fs, (n+1)/2); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, name("Restrict"), s)
+			checkNodeViews(t, name("Clone"), fs.Clone())
+		}
+	}
+}
+
+// TestTranRecvViewsConstruct checks Construct's node views under both
+// strategies, including classes whose receiver subsets line 8 pads.
+func TestTranRecvViewsConstruct(t *testing.T) {
+	for _, c := range []struct{ n, d, alphaT, alphaR int }{
+		{9, 2, 2, 7}, // |V - T[i]| = 6 < αR: every receiver subset padded
+		{25, 2, 3, 5},
+		{63, 2, 5, 40},
+		{64, 3, 1, 3},
+		{65, 2, 4, 60},   // padded
+		{130, 2, 5, 120}, // padded, three words of nodes
+	} {
+		base := polySchedule(t, c.n, c.d)
+		for _, st := range []DivisionStrategy{Sequential, Balanced} {
+			s, err := Construct(base, ConstructOptions{AlphaT: c.alphaT, AlphaR: c.alphaR, D: c.d, Strategy: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkNodeViews(t, fmt.Sprintf("Construct %s n=%d D=%d (%d,%d)", st, c.n, c.d, c.alphaT, c.alphaR), s)
+		}
+	}
+}
+
+// TestFromSetsClones pins FromSets' copy: changing the caller's sets after
+// the call leaves the schedule, and its node views, unchanged.
+func TestFromSetsClones(t *testing.T) {
+	ts := []*bitset.Set{bitset.FromSlice(70, []int{0, 65}), bitset.FromSlice(70, []int{3})}
+	rs := []*bitset.Set{bitset.FromSlice(70, []int{1, 69}), bitset.FromSlice(70, []int{0, 64})}
+	s, err := FromSets(70, ts, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts[0].Add(10)
+	ts[1].Clear()
+	rs[0].Remove(69)
+	rs[1].Add(2)
+	ts[0], rs[1] = bitset.New(70), bitset.New(70)
+	if got := s.T(0).Elements(); len(got) != 2 || got[0] != 0 || got[1] != 65 {
+		t.Fatalf("T(0) = %v after mutating the input", got)
+	}
+	if got := s.T(1).Elements(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("T(1) = %v after mutating the input", got)
+	}
+	if got := s.R(0).Elements(); len(got) != 2 || got[1] != 69 {
+		t.Fatalf("R(0) = %v after mutating the input", got)
+	}
+	if got := s.R(1).Elements(); len(got) != 2 || got[0] != 0 || got[1] != 64 {
+		t.Fatalf("R(1) = %v after mutating the input", got)
+	}
+	if !s.Tran(10).Empty() || !s.Recv(69).Contains(0) || s.Recv(2).Contains(1) {
+		t.Fatal("node views follow the caller's sets")
+	}
+	checkNodeViews(t, "FromSets after mutation", s)
 }
 
 func TestFreeSlots(t *testing.T) {

@@ -44,7 +44,7 @@ func PermuteNodes(s *Schedule, perm []int) (*Schedule, error) {
 			return true
 		})
 	}
-	return FromSets(n, t, r)
+	return fromOwnedSets(n, t, r)
 }
 
 // RotateSlots returns the schedule with the frame cyclically shifted so the
@@ -130,5 +130,5 @@ func Restrict(s *Schedule, m int) (*Schedule, error) {
 			return true
 		})
 	}
-	return FromSets(m, t, r)
+	return fromOwnedSets(m, t, r)
 }

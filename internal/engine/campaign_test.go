@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	ttdc "repro"
+	"repro/internal/schedcache"
 	"repro/internal/stats"
 )
 
@@ -145,5 +147,62 @@ func TestExecuteJobWorkloads(t *testing.T) {
 				t.Fatal("flood covered nobody")
 			}
 		})
+	}
+}
+
+// TestScheduleMemoSharesBase pins the campaign memo's layout: the duty
+// points of a class run Construct on one memoized base, the base job
+// reuses it, and each duty-cycled schedule matches a direct build. With a
+// schedule cache every polynomial job goes through Get instead, so its
+// frame-length budget check still sees every construction.
+func TestScheduleMemoSharesBase(t *testing.T) {
+	spec := func(alphaT, alphaR int, strategy string) JobSpec {
+		return JobSpec{Construction: "polynomial", N: 25, D: 2, AlphaT: alphaT, AlphaR: alphaR, Strategy: strategy}
+	}
+	specs := []JobSpec{spec(3, 5, ""), spec(4, 8, ""), spec(3, 5, "balanced"), spec(0, 0, ""), spec(0, 0, "balanced")}
+	memo := &schedMemo{m: make(map[schedKey]*schedEntry)}
+	got := make([]*ttdc.Schedule, len(specs))
+	for i, sp := range specs {
+		s, err := buildSchedule(sp, nil, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = s
+	}
+	if len(memo.m) != 4 {
+		t.Fatalf("memo holds %d entries, want one base and three duty points", len(memo.m))
+	}
+	base, err := ttdc.PolynomialSchedule(25, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[3] != got[4] || got[3] != memo.m[schedKey{construction: "polynomial", n: 25, d: 2}].s {
+		t.Fatal("the base jobs do not share the memoized base")
+	}
+	for i, sp := range specs[:3] {
+		strategy, _ := schedcache.ParseStrategy(sp.Strategy)
+		want, err := ttdc.Construct(base, ttdc.ConstructOptions{AlphaT: sp.AlphaT, AlphaR: sp.AlphaR, D: sp.D, Strategy: strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].L() != want.L() {
+			t.Fatalf("%s: L = %d, want %d", sp.ID(), got[i].L(), want.L())
+		}
+		for k := 0; k < want.L(); k++ {
+			if !got[i].T(k).Equal(want.T(k)) || !got[i].R(k).Equal(want.R(k)) {
+				t.Fatalf("%s: slot %d differs from a direct build", sp.ID(), k)
+			}
+		}
+	}
+
+	cache := schedcache.NewTrusted(8)
+	memo = &schedMemo{m: make(map[schedKey]*schedEntry)}
+	for _, sp := range specs {
+		if _, err := buildSchedule(sp, cache, memo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cache.Stats(); st.Constructions != 4 {
+		t.Fatalf("cache constructions = %d, want 4 (three duty points and the base)", st.Constructions)
 	}
 }

@@ -181,6 +181,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*Report, error) {
 				e.inflight.Add(1)
 				rec := e.execute(ctx, idx, jobs[idx])
 				e.inflight.Add(-1)
+				if rec.Status != StatusOK && ctx.Err() != nil {
+					// Cancelled under this job: leave it unrecorded so the
+					// journal stays a prefix and a resume runs it again.
+					return
+				}
 				if rec.Status == StatusOK {
 					e.completed.Add(1)
 				} else {

@@ -175,6 +175,56 @@ func TestResumeAfterCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelledJobNotJournaled pins what cancellation leaves behind: a job
+// that returns because the campaign was cancelled under it is not
+// journaled as a failure, so the journal stays a prefix and a resume runs
+// the job again.
+func TestCancelledJobNotJournaled(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	jobs := []Job{
+		{ID: "a", Run: func(ctx context.Context) (any, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}},
+		{ID: "b", Run: func(context.Context) (any, error) {
+			<-started
+			cancel()
+			return 1, nil
+		}},
+	}
+	if _, err := New(Options{Workers: 2, Journal: j}).Run(ctx, jobs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close() //nolint:errcheck // read-only after Run
+	if recs := j2.Records(); len(recs) != 0 {
+		t.Fatalf("journal after cancellation holds %+v, want nothing", recs)
+	}
+	jobs[0].Run = func(context.Context) (any, error) { return 0, nil }
+	jobs[1].Run = func(context.Context) (any, error) { return 1, nil }
+	rep, err := New(Options{Workers: 2, Journal: j2}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2 || rep.Skipped != 0 || len(rep.Records) != 2 || rep.Records[0].Status != StatusOK {
+		t.Fatalf("resume = %+v, want both jobs run", rep)
+	}
+}
+
 // TestResumeTornTail simulates a kill mid-append: a journal whose last
 // line is torn must load as the prefix before it and resume cleanly.
 func TestResumeTornTail(t *testing.T) {

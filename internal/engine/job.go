@@ -59,7 +59,8 @@ func (m *Metrics) Release() {
 
 // schedKey identifies the schedule a job needs. Jobs of one campaign that
 // agree on the key share one built schedule: schedules are immutable, pure
-// functions of these fields, and construction dominates small jobs.
+// functions of these fields, and construction dominates small jobs. A key
+// with zero caps and no strategy names a class's base schedule.
 type schedKey struct {
 	construction   string
 	n, d           int
@@ -69,10 +70,11 @@ type schedKey struct {
 
 // schedMemo shares schedule builds across the jobs of one campaign with
 // singleflight semantics: replications and topologies of the same grid
-// point pay for construction once, including for the constructions
-// (tdma, steiner, projective) the cross-campaign polynomial cache cannot
-// serve. Unlike schedcache.Cache it is unbounded, which is safe because a
-// campaign's distinct grid points are fixed at expansion time.
+// point pay for construction once, and the duty points of a class share
+// its base, including for the constructions (tdma, steiner, projective)
+// the cross-campaign polynomial cache cannot serve. Unlike
+// schedcache.Cache it is unbounded, which is safe because a campaign's
+// distinct grid points are fixed at expansion time.
 type schedMemo struct {
 	mu sync.Mutex
 	m  map[schedKey]*schedEntry
@@ -84,7 +86,12 @@ type schedEntry struct {
 	err  error
 }
 
+// get returns the schedule memoized under k, building it on first use. A
+// nil memo builds every time.
 func (sm *schedMemo) get(k schedKey, build func() (*ttdc.Schedule, error)) (*ttdc.Schedule, error) {
+	if sm == nil {
+		return build()
+	}
 	sm.mu.Lock()
 	e, ok := sm.m[k]
 	if !ok {
@@ -339,58 +346,59 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 }
 
 // buildSchedule constructs the job's schedule. memo, when non-nil, shares
-// the build across the campaign's jobs; polynomial bases additionally go
-// through the cross-campaign cache when one is supplied. Both layers are
+// each build across the campaign's jobs: the base schedule of a
+// (construction, n, D) class is memoized under its own key, so every duty
+// point of the class runs Construct on one base. Polynomial jobs go
+// through the cross-campaign cache instead when one is supplied, so its
+// budget check still guards every construction. Both layers are
 // singleflight under concurrency.
 func buildSchedule(spec JobSpec, cache *schedcache.Cache, memo *schedMemo) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if memo != nil {
-		k := schedKey{
-			construction: spec.Construction,
-			n:            spec.N, d: spec.D,
-			alphaT: spec.AlphaT, alphaR: spec.AlphaR,
-			strategy: schedcache.StrategyName(strategy),
-		}
-		return memo.get(k, func() (*ttdc.Schedule, error) {
-			return buildScheduleDirect(spec, strategy, cache)
-		})
+	baseKey := schedKey{construction: spec.Construction, n: spec.N, d: spec.D}
+	key := baseKey
+	if spec.AlphaT != 0 || spec.AlphaR != 0 {
+		key.alphaT, key.alphaR, key.strategy = spec.AlphaT, spec.AlphaR, schedcache.StrategyName(strategy)
 	}
-	return buildScheduleDirect(spec, strategy, cache)
-}
-
-func buildScheduleDirect(spec JobSpec, strategy ttdc.DivisionStrategy, cache *schedcache.Cache) (*ttdc.Schedule, error) {
 	if spec.Construction == "polynomial" && cache != nil {
 		// Get validates against the cache's own limits — serving bounds
 		// for HTTP-fed caches, TrustedLimits for the local CLIs.
-		key := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-		return cache.Get(key)
+		ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
+		return memo.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
 	}
-	var base *ttdc.Schedule
-	var err error
+	base := func() (*ttdc.Schedule, error) {
+		return memo.get(baseKey, func() (*ttdc.Schedule, error) { return buildBase(spec) })
+	}
+	if key == baseKey {
+		return base()
+	}
+	return memo.get(key, func() (*ttdc.Schedule, error) {
+		b, err := base()
+		if err != nil {
+			return nil, err
+		}
+		return ttdc.Construct(b, ttdc.ConstructOptions{
+			AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, D: spec.D, Strategy: strategy,
+		})
+	})
+}
+
+// buildBase builds the class's topology-transparent non-sleeping schedule.
+func buildBase(spec JobSpec) (*ttdc.Schedule, error) {
 	switch spec.Construction {
 	case "tdma":
-		base, err = ttdc.TDMA(spec.N)
+		return ttdc.TDMA(spec.N)
 	case "polynomial":
-		base, err = ttdc.PolynomialSchedule(spec.N, spec.D)
+		return ttdc.PolynomialSchedule(spec.N, spec.D)
 	case "steiner":
-		base, err = ttdc.SteinerSchedule(spec.N)
+		return ttdc.SteinerSchedule(spec.N)
 	case "projective":
-		base, err = ttdc.ProjectiveSchedule(spec.N, spec.D)
+		return ttdc.ProjectiveSchedule(spec.N, spec.D)
 	default:
 		return nil, fmt.Errorf("engine: unknown construction %q", spec.Construction)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if spec.AlphaT == 0 && spec.AlphaR == 0 {
-		return base, nil
-	}
-	return ttdc.Construct(base, ttdc.ConstructOptions{
-		AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, D: spec.D, Strategy: strategy,
-	})
 }
 
 // deterministicTopology reports whether the model is seed-independent —

@@ -128,13 +128,3 @@ func (t *Tables) Pow(a, e int) int {
 	}
 	return t.exp[(t.log[a]*e)%(t.f.Q()-1)]
 }
-
-// Eval evaluates the polynomial with the given coefficients (lowest degree
-// first) at x by Horner's rule, using table multiplication.
-func (t *Tables) Eval(coeffs []int, x int) int {
-	v := 0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		v = t.f.Add(t.Mul(v, x), coeffs[i])
-	}
-	return v
-}

@@ -71,20 +71,6 @@ func TestTablesMatchField(t *testing.T) {
 	}
 }
 
-func TestTablesEval(t *testing.T) {
-	f, err := NewOrder(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := NewTables(f)
-	coeffs := []int{4, 7, 2, 5}
-	for x := 0; x < 9; x++ {
-		if tb.Eval(coeffs, x) != f.Eval(coeffs, x) {
-			t.Fatalf("Eval mismatch at %d", x)
-		}
-	}
-}
-
 func TestTablesPanics(t *testing.T) {
 	f, _ := NewOrder(5)
 	tb := NewTables(f)

@@ -346,6 +346,20 @@ func BenchmarkBuildCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildColdCampaign is BuildCold at the size of one saturation
+// class of the campaign benchmark: the polynomial base for N(8400, 3),
+// Construct's (250, 2000)-schedule over it (L = 1936), and both
+// schedules' per-node views.
+func BenchmarkBuildColdCampaign(b *testing.B) {
+	k := Key{N: 8400, D: 3, AlphaT: 250, AlphaR: 2000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildLimited(k, TrustedLimits); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func ExampleCache_Get() {
 	c := New(16)
 	s, _ := c.Get(Key{N: 25, D: 2, AlphaT: 3, AlphaR: 5})
