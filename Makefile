@@ -4,15 +4,23 @@
 
 GO ?= go
 
-.PHONY: check vet build lint lint-alloc lint-sarif lint-bench test race race-conc race-sim race-sim-par fuzz bench bench-serve bench-scale benchall serve
+.PHONY: check vet build vet-perfbench lint lint-alloc lint-sarif lint-bench test race race-conc race-sim race-sim-par fuzz bench bench-serve bench-scale benchall serve
 
-check: vet build lint lint-alloc test race race-conc race-sim race-sim-par
+check: vet build vet-perfbench lint lint-alloc test race race-conc race-sim race-sim-par
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# The repository benchmark (_perfbench, see BENCHMARK.json) is a module of
+# its own that replaces repro with this tree, so `build` and `vet` above
+# never compile it. Vet it here, offline as _perfbench/run.sh builds it,
+# so removing or changing an API it calls fails the gate, not the
+# benchmark run.
+vet-perfbench:
+	cd _perfbench && GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off $(GO) vet ./...
 
 # The domain linter (see internal/lint): reproducibility,
 # exact-arithmetic, and concurrency invariants, plus gofmt cleanliness
@@ -56,8 +64,8 @@ race-conc:
 
 # The struct-of-arrays simulator fast path shares pooled scratch and
 # immutable kernels across the engine worker pool; this gate runs the
-# differential matrix (fast vs legacy byte-identity) and the kernel-sharing
-# campaigns under the race detector.
+# differential matrix (fast path vs the test-only reference loops, byte
+# for byte) and the kernel-sharing campaigns under the race detector.
 race-sim:
 	$(GO) test -race ./internal/sim/... ./internal/engine/...
 

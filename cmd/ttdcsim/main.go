@@ -45,7 +45,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		drift  = fs.Float64("drift", 0, "clock drift bound in ppm (0 = perfect sync)")
 		guard  = fs.Float64("guard", 0.1, "guard band as a fraction of the slot")
 		resync = fs.Int("resync", 0, "slots between resynchronizations (0 = never)")
-		legacy = fs.Bool("legacy", false, "run the slot-by-slot reference loop instead of the fast path")
 		shards = fs.Int("shards", 0, "intra-run shards for the fast-path kernels: 0/1 sequential, -1 one per CPU (results identical at every value)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,13 +78,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	switch *mode {
 	case "saturation":
-		runSat := func(g *ttdc.Graph, s *ttdc.Schedule, frames int, em ttdc.EnergyModel) (*ttdc.SaturationResult, error) {
-			return ttdc.RunSaturationSharded(g, s, frames, em, *shards)
-		}
-		if *legacy {
-			runSat = ttdc.RunSaturationLegacy
-		}
-		res, err := runSat(g, s, *frames, ttdc.DefaultEnergy())
+		res, err := ttdc.RunSaturationSharded(g, s, *frames, ttdc.DefaultEnergy(), *shards)
 		if err != nil {
 			return err
 		}
@@ -98,7 +91,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	case "convergecast":
 		res, err := ttdc.RunConvergecast(g, s, ttdc.ConvergecastConfig{
 			Sink: *sink, Rate: *rate, Frames: *frames, Seed: *seed,
-			Channel: channel, Clock: clock, Legacy: *legacy, Shards: *shards,
+			Channel: channel, Clock: clock, Shards: *shards,
 		})
 		if err != nil {
 			return err

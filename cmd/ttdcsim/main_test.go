@@ -27,24 +27,6 @@ func TestRunInProcessModes(t *testing.T) {
 	}
 }
 
-func TestRunLegacyFlagMatchesFastPath(t *testing.T) {
-	for _, mode := range []string{"saturation", "convergecast"} {
-		t.Run(mode, func(t *testing.T) {
-			var fast, legacy, errOut bytes.Buffer
-			base := []string{"-gen", "polynomial", "-n", "9", "-D", "2", "-mode", mode, "-frames", "3", "-rate", "0.1"}
-			if err := run(base, strings.NewReader(""), &fast, &errOut); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(append(base, "-legacy"), strings.NewReader(""), &legacy, &errOut); err != nil {
-				t.Fatal(err)
-			}
-			if fast.String() != legacy.String() {
-				t.Errorf("fast and legacy reports differ:\nfast:\n%slegacy:\n%s", fast.String(), legacy.String())
-			}
-		})
-	}
-}
-
 func TestRunSchedulePipedFromStdin(t *testing.T) {
 	s, err := ttdc.TDMA(6)
 	if err != nil {

@@ -5,18 +5,18 @@
 //
 // Every requested experiment runs even when an earlier one fails; a final
 // summary lists the failing IDs and the exit status is non-zero only then.
-// With -parallel the suite runs through the internal/engine worker pool
-// (deterministically: the printed tables are byte-identical to a serial
-// run), and -journal checkpoints finished experiments so an interrupted
-// sweep resumes where it left off.
+// The suite runs through the internal/engine worker pool and prints the
+// tables in experiment order once it finishes, byte-identical at every
+// worker count; -journal checkpoints finished experiments so an
+// interrupted sweep resumes where it left off.
 //
 // Usage:
 //
-//	ttdcsweep                         # run everything, serially
+//	ttdcsweep                         # run everything
 //	ttdcsweep -exp E10                # one experiment
 //	ttdcsweep -exp E3 -csv            # CSV output
-//	ttdcsweep -parallel -workers 4    # the suite on 4 engine workers
-//	ttdcsweep -parallel -journal s.jsonl  # checkpoint/resume
+//	ttdcsweep -workers 1              # the suite on one engine worker
+//	ttdcsweep -journal s.jsonl        # checkpoint/resume
 package main
 
 import (
@@ -43,11 +43,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ttdcsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "", "experiment id (E1..E17); empty = all")
-		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		parallel = fs.Bool("parallel", false, "run the suite through the batch engine worker pool")
-		workers  = fs.Int("workers", 0, "engine worker count with -parallel (0 = GOMAXPROCS)")
-		journal  = fs.String("journal", "", "JSONL journal path: checkpoint finished experiments, resume on rerun (implies -parallel)")
+		exp     = fs.String("exp", "", "experiment id (E1..E17); empty = all")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		workers = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
+		journal = fs.String("journal", "", "JSONL journal path: checkpoint finished experiments, resume on rerun")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,17 +57,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ids = []string{*exp}
 	}
 
-	var failed []string
-	if *parallel || *journal != "" {
-		var err error
-		failed, err = runEngine(ids, *csv, *workers, *journal, stdout, stderr)
-		if err != nil {
-			return err
-		}
-	} else {
-		failed = runSerial(ids, *csv, stdout, stderr)
+	failed, err := runEngine(ids, *csv, *workers, *journal, stdout, stderr)
+	if err != nil {
+		return err
 	}
-
 	if len(failed) > 0 {
 		return fmt.Errorf("%d/%d experiments failed: %s", len(failed), len(ids), strings.Join(failed, ", "))
 	}
@@ -76,34 +68,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runSerial runs the experiments one by one in the calling goroutine,
-// streaming each table as it finishes. A failing or erroring experiment is
-// recorded and the sweep continues.
-func runSerial(ids []string, csv bool, stdout, stderr io.Writer) (failed []string) {
-	for _, id := range ids {
-		res, err := experiments.Run(id)
-		if err != nil {
-			fmt.Fprintf(stderr, "ttdcsweep: %s: %v\n", id, err)
-			failed = append(failed, id)
-			continue
-		}
-		out, err := engine.RenderExperiment(res, csv)
-		if err != nil {
-			fmt.Fprintf(stderr, "ttdcsweep: %s: %v\n", id, err)
-			failed = append(failed, id)
-			continue
-		}
-		fmt.Fprint(stdout, out)
-		if !res.Pass {
-			failed = append(failed, id)
-		}
-	}
-	return failed
-}
-
 // runEngine runs the experiments through the batch engine and prints the
-// rendered blocks in experiment order afterwards — the engine's ordered
-// journal writer guarantees the output matches a serial run byte for byte.
+// rendered blocks in experiment order afterwards, so the output does not
+// depend on the worker count or on which blocks a journal replayed.
 func runEngine(ids []string, csv bool, workers int, journalPath string, stdout, stderr io.Writer) (failed []string, err error) {
 	opts := engine.Options{Workers: workers}
 	if journalPath != "" {
@@ -119,18 +86,19 @@ func runEngine(ids []string, csv bool, workers int, journalPath string, stdout, 
 		return nil, err
 	}
 	for _, rec := range rep.Records {
+		id := ids[rec.Index] // rec.ID carries a format suffix in CSV mode
 		if rec.Status != engine.StatusOK {
-			fmt.Fprintf(stderr, "ttdcsweep: %s: %s\n", rec.ID, rec.Error)
-			failed = append(failed, rec.ID)
+			fmt.Fprintf(stderr, "ttdcsweep: %s: %s\n", id, rec.Error)
+			failed = append(failed, id)
 			continue
 		}
 		var sr engine.SweepResult
 		if err := json.Unmarshal(rec.Result, &sr); err != nil {
-			return nil, fmt.Errorf("%s: corrupt journal record: %w", rec.ID, err)
+			return nil, fmt.Errorf("%s: corrupt journal record: %w", id, err)
 		}
 		fmt.Fprint(stdout, sr.Output)
 		if !sr.Pass {
-			failed = append(failed, rec.ID)
+			failed = append(failed, id)
 		}
 	}
 	return failed, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/bitset"
+	"repro/internal/combin"
 )
 
 // Latency analysis. The abstract promises "bounding packet latency in the
@@ -75,4 +76,31 @@ func WorstCaseHopLatency(s *Schedule, d int) (int, bool) {
 		return -1, false
 	}
 	return worst, true
+}
+
+// forEachTriple enumerates all ordered pairs x ≠ y and all (D-1)-subsets S
+// of V_n - {x, y}, invoking fn; returning false stops enumeration.
+func forEachTriple(s *Schedule, d int, fn func(x, y int, set []int) bool) {
+	others := make([]int, 0, s.n-2)
+	stop := false
+	for x := 0; x < s.n && !stop; x++ {
+		for y := 0; y < s.n && !stop; y++ {
+			if y == x {
+				continue
+			}
+			others = others[:0]
+			for v := 0; v < s.n; v++ {
+				if v != x && v != y {
+					others = append(others, v)
+				}
+			}
+			combin.CombinationsOf(others, d-1, func(set []int) bool {
+				if !fn(x, y, set) {
+					stop = true
+					return false
+				}
+				return true
+			})
+		}
+	}
 }

@@ -11,10 +11,11 @@ import (
 // exhaustive checks as reference kernels. Each one re-derives the free-slot
 // set of every D-subset from scratch — a full Copy plus D DifferenceWith
 // per subset — which is what the prefix-cached kernels in verifier.go
-// replace. They are kept (unexported) for three reasons: they are the
-// ground truth of the differential tests, the baseline of the old-vs-new
-// benchmark pairs in BENCH_core.json, and the most literal transcription
-// of the paper's definitions for readers auditing the reproduction.
+// replace. They live in a test file because nothing in production runs
+// them, and they serve three purposes: they are the ground truth of the
+// differential tests, the baseline of the old-vs-new benchmark pairs in
+// BENCH_core.json, and the most literal transcription of the paper's
+// definitions for readers auditing the reproduction.
 
 // checkRequirement1Naive is the reference implementation of
 // CheckRequirement1: Θ(C(n-1, D)·D·L/64) per node.
@@ -159,31 +160,4 @@ func avgThroughputBruteForceNaive(s *Schedule, d int) *big.Rat {
 	den.Mul(den, combin.Binomial(s.n-2, d-1))
 	den.Mul(den, big.NewInt(int64(s.L())))
 	return combin.RatFromInts(f, den)
-}
-
-// forEachTriple enumerates all ordered pairs x ≠ y and all (D-1)-subsets S
-// of V_n - {x, y}, invoking fn; returning false stops enumeration.
-func forEachTriple(s *Schedule, d int, fn func(x, y int, set []int) bool) {
-	others := make([]int, 0, s.n-2)
-	stop := false
-	for x := 0; x < s.n && !stop; x++ {
-		for y := 0; y < s.n && !stop; y++ {
-			if y == x {
-				continue
-			}
-			others = others[:0]
-			for v := 0; v < s.n; v++ {
-				if v != x && v != y {
-					others = append(others, v)
-				}
-			}
-			combin.CombinationsOf(others, d-1, func(set []int) bool {
-				if !fn(x, y, set) {
-					stop = true
-					return false
-				}
-				return true
-			})
-		}
-	}
 }

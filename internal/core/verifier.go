@@ -25,8 +25,8 @@ import (
 // steady-state allocations except for the witness of an actual violation
 // (and the big.Rat/big.Int results of the throughput methods). The
 // differential tests in verifier_test.go pin byte-identical results —
-// including first-witness order — against the *Naive references, and
-// alloc_test.go pins the zero-allocation guarantee.
+// including first-witness order — against the *Naive references of
+// naive_test.go, and alloc_test.go pins the zero-allocation guarantee.
 //
 // A Verifier is bound to one (schedule, D) pair, is not safe for concurrent
 // use, and is cheap enough to create per goroutine — the parallel checkers

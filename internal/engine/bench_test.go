@@ -59,7 +59,7 @@ func benchmarkSweep(b *testing.B, workers int) {
 	}
 }
 
-// The serial-vs-parallel wall clock of the full E1..E17 suite — the
-// ttdcsweep -parallel speedup, measured.
+// The wall clock of the full E1..E17 suite at one worker and at
+// GOMAXPROCS — ttdcsweep -workers 1 against its default.
 func BenchmarkSweepWorkers1(b *testing.B)   { benchmarkSweep(b, 1) }
 func BenchmarkSweepWorkersMax(b *testing.B) { benchmarkSweep(b, 0) }

@@ -160,7 +160,7 @@ func TestScheduleMemoSharesBase(t *testing.T) {
 		return JobSpec{Construction: "polynomial", N: 25, D: 2, AlphaT: alphaT, AlphaR: alphaR, Strategy: strategy}
 	}
 	specs := []JobSpec{spec(3, 5, ""), spec(4, 8, ""), spec(3, 5, "balanced"), spec(0, 0, ""), spec(0, 0, "balanced")}
-	memo := &schedMemo{m: make(map[schedKey]*schedEntry)}
+	memo := newMemo[schedKey, *ttdc.Schedule]()
 	got := make([]*ttdc.Schedule, len(specs))
 	for i, sp := range specs {
 		s, err := buildSchedule(sp, nil, memo)
@@ -176,7 +176,7 @@ func TestScheduleMemoSharesBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[3] != got[4] || got[3] != memo.m[schedKey{construction: "polynomial", n: 25, d: 2}].s {
+	if got[3] != got[4] || got[3] != memo.m[schedKey{construction: "polynomial", n: 25, d: 2}].v {
 		t.Fatal("the base jobs do not share the memoized base")
 	}
 	for i, sp := range specs[:3] {
@@ -196,7 +196,7 @@ func TestScheduleMemoSharesBase(t *testing.T) {
 	}
 
 	cache := schedcache.NewTrusted(8)
-	memo = &schedMemo{m: make(map[schedKey]*schedEntry)}
+	memo = newMemo[schedKey, *ttdc.Schedule]()
 	for _, sp := range specs {
 		if _, err := buildSchedule(sp, cache, memo); err != nil {
 			t.Fatal(err)

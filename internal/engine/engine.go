@@ -60,14 +60,6 @@ const (
 	StatusFail = "fail"
 )
 
-// Releasable is an optional interface for job results backed by pooled
-// buffers. The engine serializes a result into its journal record and then
-// never touches it again, so a result implementing Releasable is released
-// immediately after a successful marshal; under a worker pool each worker
-// then reuses one result buffer for its whole job stream. Results must not
-// be retained by the job after Run returns.
-type Releasable interface{ Release() }
-
 // Options configures an Engine.
 type Options struct {
 	// Workers is the worker-pool size; 0 or negative means GOMAXPROCS.
@@ -268,9 +260,6 @@ func (e *Engine) execute(ctx context.Context, idx int, job Job) (rec Record) {
 		rec.Status = StatusFail
 		rec.Error = fmt.Sprintf("marshal result: %v", err)
 		return rec
-	}
-	if r, ok := v.(Releasable); ok {
-		r.Release()
 	}
 	rec.Status = StatusOK
 	rec.Result = payload

@@ -43,18 +43,40 @@ type Metrics struct {
 	SimActiveFraction float64 `json:"simActiveFraction,omitempty"`
 }
 
-// metricsPool recycles Metrics between jobs: the engine serializes a job's
-// result into its journal record and then calls Release, so under a worker
-// pool each worker effectively reuses one Metrics for its whole job stream
-// instead of leaving one garbage struct per job.
-var metricsPool = sync.Pool{New: func() any { return new(Metrics) }}
+// memo shares builds across the jobs of one campaign with singleflight
+// semantics: the first get of a key builds, and every other get of it,
+// concurrent or later, waits for and shares that result, error included.
+// It is unbounded, which is safe because a campaign's distinct keys are
+// fixed at expansion time. A nil memo builds every time.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
 
-// Release returns m to the job-result pool. The engine calls it after the
-// record payload is serialized; callers holding a Metrics from a direct
-// ExecuteJob call simply never release it.
-func (m *Metrics) Release() {
-	*m = Metrics{}
-	metricsPool.Put(m)
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func newMemo[K comparable, V any]() *memo[K, V] {
+	return &memo[K, V]{m: make(map[K]*memoEntry[V])}
+}
+
+// get returns the value memoized under k, building it on first use.
+func (mm *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
+	if mm == nil {
+		return build()
+	}
+	mm.mu.Lock()
+	e, ok := mm.m[k]
+	if !ok {
+		e = &memoEntry[V]{}
+		mm.m[k] = e
+	}
+	mm.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
 }
 
 // schedKey identifies the schedule a job needs. Jobs of one campaign that
@@ -68,77 +90,6 @@ type schedKey struct {
 	strategy       string
 }
 
-// schedMemo shares schedule builds across the jobs of one campaign with
-// singleflight semantics: replications and topologies of the same grid
-// point pay for construction once, and the duty points of a class share
-// its base, including for the constructions (tdma, steiner, projective)
-// the cross-campaign polynomial cache cannot serve. Unlike
-// schedcache.Cache it is unbounded, which is safe because a campaign's
-// distinct grid points are fixed at expansion time.
-type schedMemo struct {
-	mu sync.Mutex
-	m  map[schedKey]*schedEntry
-}
-
-type schedEntry struct {
-	once sync.Once
-	s    *ttdc.Schedule
-	err  error
-}
-
-// get returns the schedule memoized under k, building it on first use. A
-// nil memo builds every time.
-func (sm *schedMemo) get(k schedKey, build func() (*ttdc.Schedule, error)) (*ttdc.Schedule, error) {
-	if sm == nil {
-		return build()
-	}
-	sm.mu.Lock()
-	e, ok := sm.m[k]
-	if !ok {
-		e = &schedEntry{}
-		sm.m[k] = e
-	}
-	sm.mu.Unlock()
-	e.once.Do(func() { e.s, e.err = build() })
-	return e.s, e.err
-}
-
-// kernelKey identifies a saturation fast-path kernel: the schedule (by
-// pointer — campaign schedules are deduplicated through schedMemo, so one
-// pointer per grid point) and the topology's node count, which can differ
-// from the spec's N (grid topologies round up to a full square).
-type kernelKey struct {
-	s *ttdc.Schedule
-	n int
-}
-
-// kernelMemo shares saturation kernels across the jobs of one campaign
-// with singleflight semantics: the replications and topologies of a grid
-// point pay the kernel precomputation once, then shard their runs across
-// the worker pool against the shared immutable kernel.
-type kernelMemo struct {
-	mu sync.Mutex
-	m  map[kernelKey]*kernelEntry
-}
-
-type kernelEntry struct {
-	once sync.Once
-	k    *ttdc.SaturationKernel
-	err  error
-}
-
-func (km *kernelMemo) get(key kernelKey) (*ttdc.SaturationKernel, error) {
-	km.mu.Lock()
-	e, ok := km.m[key]
-	if !ok {
-		e = &kernelEntry{}
-		km.m[key] = e
-	}
-	km.mu.Unlock()
-	e.once.Do(func() { e.k, e.err = ttdc.NewSaturationKernel(key.s, key.n) })
-	return e.k, e.err
-}
-
 // graphKey identifies a deterministic topology build. Only the
 // seed-independent models (regular, ring, grid) are memoized; geometric
 // and random graphs differ per replication and stay per-job.
@@ -147,66 +98,36 @@ type graphKey struct {
 	n, d     int
 }
 
-// graphMemo shares deterministic topology builds across the jobs of one
-// campaign with singleflight semantics. At the million-node end a single
-// CSR build is seconds of work and tens of megabytes; replications and
-// duty points of one grid point must not repeat it.
-type graphMemo struct {
-	mu sync.Mutex
-	m  map[graphKey]*graphEntry
+// satKernelKey identifies a saturation kernel: the schedule (by pointer —
+// campaign schedules are deduplicated through the schedule memo, so one
+// pointer per grid point) and the topology's node count, which can differ
+// from the spec's N (grid topologies round up to a full square).
+type satKernelKey struct {
+	s *ttdc.Schedule
+	n int
 }
 
-type graphEntry struct {
-	once sync.Once
-	g    *ttdc.Graph
-	err  error
-}
-
-func (gm *graphMemo) get(k graphKey, build func() (*ttdc.Graph, error)) (*ttdc.Graph, error) {
-	gm.mu.Lock()
-	e, ok := gm.m[k]
-	if !ok {
-		e = &graphEntry{}
-		gm.m[k] = e
-	}
-	gm.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = build() })
-	return e.g, e.err
-}
-
-// ccKernelKey identifies a convergecast fast-path kernel: schedule and
-// graph by pointer (both deduplicated through their campaign memos) plus
-// the sink. Jobs whose graph is per-job (geometric, random) never reach
-// the memo, so entries cannot leak one-shot graphs.
+// ccKernelKey identifies a convergecast kernel: schedule and graph by
+// pointer (both deduplicated through their campaign memos) plus the sink.
 type ccKernelKey struct {
 	s    *ttdc.Schedule
 	g    *ttdc.Graph
 	sink int
 }
 
-// ccKernelMemo shares convergecast kernels across a campaign's
-// replications with singleflight semantics.
-type ccKernelMemo struct {
-	mu sync.Mutex
-	m  map[ccKernelKey]*ccKernelEntry
-}
-
-type ccKernelEntry struct {
-	once sync.Once
-	k    *ttdc.ConvergecastKernel
-	err  error
-}
-
-func (km *ccKernelMemo) get(key ccKernelKey) (*ttdc.ConvergecastKernel, error) {
-	km.mu.Lock()
-	e, ok := km.m[key]
-	if !ok {
-		e = &ccKernelEntry{}
-		km.m[key] = e
-	}
-	km.mu.Unlock()
-	e.once.Do(func() { e.k, e.err = ttdc.NewConvergecastKernel(key.g, key.s, key.sink) })
-	return e.k, e.err
+// memos are the per-campaign build memos. Jobs hands one set to every job,
+// so the replications, topologies and duty points of a grid point pay once
+// for schedule construction (for every construction, not just the
+// polynomial one the cross-campaign cache serves), for a deterministic
+// topology (one CSR build is seconds and tens of megabytes at the
+// million-node end), and for kernel precomputation; the immutable kernels
+// are then run across the worker pool. ExecuteJob passes the zero value,
+// so every build runs.
+type memos struct {
+	scheds     *memo[schedKey, *ttdc.Schedule]
+	graphs     *memo[graphKey, *ttdc.Graph]
+	satKernels *memo[satKernelKey, *ttdc.SaturationKernel]
+	ccKernels  *memo[ccKernelKey, *ttdc.ConvergecastKernel]
 }
 
 // Jobs expands the campaign and binds each spec to an executable engine
@@ -221,10 +142,12 @@ func Jobs(c *Campaign, cache *schedcache.Cache) ([]Job, error) {
 		return nil, err
 	}
 	seed := c.Seed
-	memo := &schedMemo{m: make(map[schedKey]*schedEntry)}
-	kernels := &kernelMemo{m: make(map[kernelKey]*kernelEntry)}
-	graphs := &graphMemo{m: make(map[graphKey]*graphEntry)}
-	ccKernels := &ccKernelMemo{m: make(map[ccKernelKey]*ccKernelEntry)}
+	ms := memos{
+		scheds:     newMemo[schedKey, *ttdc.Schedule](),
+		graphs:     newMemo[graphKey, *ttdc.Graph](),
+		satKernels: newMemo[satKernelKey, *ttdc.SaturationKernel](),
+		ccKernels:  newMemo[ccKernelKey, *ttdc.ConvergecastKernel](),
+	}
 	jobs := make([]Job, len(specs))
 	for i, spec := range specs {
 		spec := spec
@@ -233,7 +156,7 @@ func Jobs(c *Campaign, cache *schedcache.Cache) ([]Job, error) {
 			ID:   spec.ID(),
 			Seed: jobSeed,
 			Run: func(ctx context.Context) (any, error) {
-				return executeJob(ctx, spec, jobSeed, cache, memo, kernels, graphs, ccKernels)
+				return executeJob(ctx, spec, jobSeed, cache, ms)
 			},
 		}
 	}
@@ -243,51 +166,45 @@ func Jobs(c *Campaign, cache *schedcache.Cache) ([]Job, error) {
 // ExecuteJob runs one grid point: build (or fetch) the schedule, build the
 // topology from the job seed, run the workload, and collect metrics.
 func ExecuteJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache) (*Metrics, error) {
-	return executeJob(ctx, spec, seed, cache, nil, nil, nil, nil)
+	return executeJob(ctx, spec, seed, cache, memos{})
 }
 
-func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache,
-	memo *schedMemo, kernels *kernelMemo, graphs *graphMemo, ccKernels *ccKernelMemo) (*Metrics, error) {
+func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache, ms memos) (*Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := buildSchedule(spec, cache, memo)
+	s, err := buildSchedule(spec, cache, ms.scheds)
 	if err != nil {
 		return nil, err
 	}
-	m := metricsPool.Get().(*Metrics)
-	m.L = s.L()
-	m.ActiveFraction = s.ActiveFraction()
+	m := &Metrics{L: s.L(), ActiveFraction: s.ActiveFraction()}
 	if spec.Workload == "analysis" {
 		avg := ttdc.AvgThroughput(s, spec.D)
 		m.AvgThroughput = avg.RatString()
 		m.AvgThroughputFloat = ttdc.RatFloat(avg)
 		return m, nil
 	}
-	g, err := buildTopology(spec, seed, graphs)
+	if !deterministicTopology(spec.Topology) {
+		// Seeded graphs differ per replication (see graphKey), and a
+		// kernel keyed by one would only pin a one-shot memo entry.
+		ms.graphs, ms.ccKernels = nil, nil
+	}
+	g, err := ms.graphs.get(graphKey{topology: spec.Topology, n: spec.N, d: spec.D},
+		func() (*ttdc.Graph, error) { return buildTopology(spec, seed) })
 	if err != nil {
-		m.Release()
 		return nil, err
 	}
 	m.Nodes = g.N()
 	m.Edges = g.EdgeCount()
 	switch spec.Workload {
 	case "saturation":
-		var res *ttdc.SaturationResult
-		if kernels != nil {
-			// Campaign path: share one kernel per (schedule, node count)
-			// across the worker pool and shard the topologies over it.
-			k, kerr := kernels.get(kernelKey{s: s, n: g.N()})
-			if kerr != nil {
-				m.Release()
-				return nil, kerr
-			}
-			res, err = k.RunSharded(g, spec.Frames, ttdc.DefaultEnergy(), spec.Shards)
-		} else {
-			res, err = ttdc.RunSaturationSharded(g, s, spec.Frames, ttdc.DefaultEnergy(), spec.Shards)
-		}
+		k, err := ms.satKernels.get(satKernelKey{s: s, n: g.N()},
+			func() (*ttdc.SaturationKernel, error) { return ttdc.NewSaturationKernel(s, g.N()) })
 		if err != nil {
-			m.Release()
+			return nil, err
+		}
+		res, err := k.RunSharded(g, spec.Frames, ttdc.DefaultEnergy(), spec.Shards)
+		if err != nil {
 			return nil, err
 		}
 		m.MinLinkThroughput = res.MinLinkThroughput
@@ -296,25 +213,16 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 		m.TotalEnergy = res.TotalEnergy
 		m.SimActiveFraction = res.ActiveFraction
 	case "convergecast":
-		cfg := ttdc.ConvergecastConfig{
+		k, err := ms.ccKernels.get(ccKernelKey{s: s, g: g, sink: spec.Sink},
+			func() (*ttdc.ConvergecastKernel, error) { return ttdc.NewConvergecastKernel(g, s, spec.Sink) })
+		if err != nil {
+			return nil, err
+		}
+		res, err := k.Run(ttdc.ConvergecastConfig{
 			Sink: spec.Sink, Rate: spec.Rate, Frames: spec.Frames, Seed: seed,
 			Shards: spec.Shards,
-		}
-		var res *ttdc.ConvergecastResult
-		if ccKernels != nil && deterministicTopology(spec.Topology) {
-			// Campaign path: the graph came from the campaign memo, so the
-			// (schedule, graph, sink) kernel is shared across replications.
-			k, kerr := ccKernels.get(ccKernelKey{s: s, g: g, sink: spec.Sink})
-			if kerr != nil {
-				m.Release()
-				return nil, kerr
-			}
-			res, err = k.Run(cfg)
-		} else {
-			res, err = ttdc.RunConvergecast(g, s, cfg)
-		}
+		})
 		if err != nil {
-			m.Release()
 			return nil, err
 		}
 		m.Generated = res.Generated
@@ -330,7 +238,6 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 			Source: spec.Sink, MaxFrames: spec.Frames, Seed: seed,
 		})
 		if err != nil {
-			m.Release()
 			return nil, err
 		}
 		m.Covered = res.Covered
@@ -339,20 +246,19 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 		m.TotalEnergy = res.TotalEnergy
 		m.SimActiveFraction = res.ActiveFraction
 	default:
-		m.Release()
 		return nil, fmt.Errorf("engine: unknown workload %q", spec.Workload)
 	}
 	return m, nil
 }
 
-// buildSchedule constructs the job's schedule. memo, when non-nil, shares
-// each build across the campaign's jobs: the base schedule of a
+// buildSchedule constructs the job's schedule. scheds, when non-nil,
+// shares each build across the campaign's jobs: the base schedule of a
 // (construction, n, D) class is memoized under its own key, so every duty
 // point of the class runs Construct on one base. Polynomial jobs go
 // through the cross-campaign cache instead when one is supplied, so its
 // budget check still guards every construction. Both layers are
 // singleflight under concurrency.
-func buildSchedule(spec JobSpec, cache *schedcache.Cache, memo *schedMemo) (*ttdc.Schedule, error) {
+func buildSchedule(spec JobSpec, cache *schedcache.Cache, scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
 		return nil, err
@@ -366,15 +272,15 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache, memo *schedMemo) (*ttd
 		// Get validates against the cache's own limits — serving bounds
 		// for HTTP-fed caches, TrustedLimits for the local CLIs.
 		ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-		return memo.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
+		return scheds.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
 	}
 	base := func() (*ttdc.Schedule, error) {
-		return memo.get(baseKey, func() (*ttdc.Schedule, error) { return buildBase(spec) })
+		return scheds.get(baseKey, func() (*ttdc.Schedule, error) { return buildBase(spec) })
 	}
 	if key == baseKey {
 		return base()
 	}
-	return memo.get(key, func() (*ttdc.Schedule, error) {
+	return scheds.get(key, func() (*ttdc.Schedule, error) {
 		b, err := base()
 		if err != nil {
 			return nil, err
@@ -410,19 +316,10 @@ func deterministicTopology(kind string) bool {
 
 // buildTopology realizes the job's graph. The RNG is rooted at the job
 // seed, so randomized topologies differ across replications but are
-// identical across reruns of the same job. Deterministic models go through
-// the campaign graph memo when one is supplied; the seeded models are
-// rejected above the dense-representation limit, where their per-node
-// bitsets would cost O(n²) bits.
-func buildTopology(spec JobSpec, seed uint64, graphs *graphMemo) (*ttdc.Graph, error) {
-	if graphs != nil && deterministicTopology(spec.Topology) {
-		return graphs.get(graphKey{topology: spec.Topology, n: spec.N, d: spec.D},
-			func() (*ttdc.Graph, error) { return buildTopologyDirect(spec, seed) })
-	}
-	return buildTopologyDirect(spec, seed)
-}
-
-func buildTopologyDirect(spec JobSpec, seed uint64) (*ttdc.Graph, error) {
+// identical across reruns of the same job. The seeded models are rejected
+// above the dense-representation limit, where their per-node bitsets
+// would cost O(n²) bits.
+func buildTopology(spec JobSpec, seed uint64) (*ttdc.Graph, error) {
 	switch spec.Topology {
 	case "regular":
 		return ttdc.Regularish(spec.N, spec.D), nil

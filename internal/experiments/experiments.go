@@ -15,7 +15,7 @@ import (
 
 // Result is the outcome of one experiment.
 type Result struct {
-	// ID is the experiment identifier (E1..E11).
+	// ID is the experiment identifier (E1..E17).
 	ID string
 	// Title describes the paper artifact being reproduced.
 	Title string

@@ -13,6 +13,7 @@ import (
 // The Legacy/Fast suffix pairs below are recognized by cmd/ttdcbench,
 // which derives reference-vs-SoA speedups into BENCH_sim.json on
 // `make bench` — the simulator's analogue of core's Naive/Prefix pairs.
+// The Legacy side runs the reference loops of oracle_test.go.
 
 func benchPolySchedule(tb testing.TB, n, d int) *core.Schedule {
 	tb.Helper()
@@ -42,7 +43,7 @@ func BenchmarkSaturationCampaignLegacy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range graphs {
-			if _, err := RunSaturationLegacy(g, s, frames, DefaultEnergy()); err != nil {
+			if _, err := runSaturationReference(g, s, frames, DefaultEnergy()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,10 +77,14 @@ func benchConvergecast(b *testing.B, legacy bool) {
 	const n, d = 256, 4
 	s := benchPolySchedule(b, n, d)
 	g := topology.Grid(16, 16)
-	cfg := ConvergecastConfig{Sink: 0, Rate: 0.02, Frames: 20, Seed: 7, Legacy: legacy}
+	cfg := ConvergecastConfig{Sink: 0, Rate: 0.02, Frames: 20, Seed: 7}
+	run := RunConvergecast
+	if legacy {
+		run = runConvergecastReference
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConvergecast(g, s, cfg); err != nil {
+		if _, err := run(g, s, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

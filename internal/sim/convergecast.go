@@ -57,14 +57,8 @@ type ConvergecastConfig struct {
 	// byte-identical at every shard count (the RNG-consuming generation
 	// and the queue-mutating resolution stay sequential; only the
 	// order-insensitive contention counting fans out). Ignored by the
-	// legacy loop.
+	// per-node loop.
 	Shards int
-	// Legacy forces the per-node reference loop even where the
-	// struct-of-arrays fast path applies (schedule-driven MAC, ideal
-	// channel, perfect sync, no tracer). The zero value — fast path on —
-	// is safe because the two paths are pinned byte-identical by the
-	// differential tests in this package.
-	Legacy bool
 }
 
 // TrafficPhase is one segment of a time-varying load pattern.
@@ -116,19 +110,28 @@ func RunConvergecast(g *topology.Graph, s *core.Schedule, cfg ConvergecastConfig
 	return RunConvergecastProtocol(g, ScheduleProtocol{S: s}, cfg)
 }
 
-// rateFunc builds the slot→rate map of a run: constant cfg.Rate, or the
-// cycling phase pattern when Phases is set.
-func rateFunc(cfg *ConvergecastConfig) (func(slot int) float64, error) {
+// resolve returns the run's queue bound, energy model and slot→rate map:
+// the zero-value defaults applied, and constant cfg.Rate or the cycling
+// phase pattern when Phases is set.
+func (cfg *ConvergecastConfig) resolve() (maxQ int, em EnergyModel, rateAt func(slot int) float64, err error) {
 	phaseLen := 0
 	for _, ph := range cfg.Phases {
 		if ph.Slots < 1 || ph.Rate < 0 {
-			return nil, fmt.Errorf("sim: invalid traffic phase %+v", ph)
+			return 0, EnergyModel{}, nil, fmt.Errorf("sim: invalid traffic phase %+v", ph)
 		}
 		phaseLen += ph.Slots
 	}
+	maxQ = cfg.MaxQueue
+	if maxQ == 0 {
+		maxQ = 64
+	}
+	em = cfg.Energy
+	if em == (EnergyModel{}) {
+		em = DefaultEnergy()
+	}
 	phases := cfg.Phases
 	rate := cfg.Rate
-	return func(slot int) float64 {
+	return maxQ, em, func(slot int) float64 {
 		if phaseLen == 0 {
 			return rate
 		}
@@ -179,8 +182,9 @@ func finishConvergecast(res *ConvergecastResult, em EnergyModel, txSlots, rxSlot
 //
 // When the protocol is the schedule-driven MAC and the run uses the paper's
 // ideal channel with perfect synchronization and no tracer, the run takes
-// the struct-of-arrays fast path unless cfg.Legacy forces the reference
-// loop; the two paths are byte-identical (see difftest_test.go).
+// the struct-of-arrays fast path (ConvergecastKernel.Run); every other run
+// takes the per-node loop. The two are byte-identical where both apply
+// (see difftest_test.go).
 func RunConvergecastProtocol(g *topology.Graph, proto Protocol, cfg ConvergecastConfig) (*ConvergecastResult, error) {
 	n := g.N()
 	if cfg.Sink < 0 || cfg.Sink >= n {
@@ -198,16 +202,18 @@ func RunConvergecastProtocol(g *topology.Graph, proto Protocol, cfg Convergecast
 			return nil, fmt.Errorf("sim: node %d cannot reach the sink", v)
 		}
 	}
-	maxQ := cfg.MaxQueue
-	if maxQ == 0 {
-		maxQ = 64
-	}
-	em := cfg.Energy
-	if em == (EnergyModel{}) {
-		em = DefaultEnergy()
-	}
 	if err := cfg.Channel.validate(); err != nil {
 		return nil, err
+	}
+	if sp, ok := proto.(ScheduleProtocol); ok && cfg.Channel.ideal() && cfg.Clock == nil && cfg.Tracer == nil {
+		// One-shot kernel: campaigns that replay one (graph, schedule,
+		// sink) triple should build a ConvergecastKernel once and call
+		// Run per configuration instead.
+		k, err := NewConvergecastKernel(g, sp.S, cfg.Sink)
+		if err != nil {
+			return nil, err
+		}
+		return k.Run(cfg)
 	}
 	var clock *clockState
 	if cfg.Clock != nil {
@@ -216,27 +222,16 @@ func RunConvergecastProtocol(g *topology.Graph, proto Protocol, cfg Convergecast
 			return nil, err
 		}
 	}
-	rateAt, err := rateFunc(&cfg)
+	maxQ, em, rateAt, err := cfg.resolve()
 	if err != nil {
 		return nil, err
-	}
-	if sp, ok := proto.(ScheduleProtocol); ok && !cfg.Legacy &&
-		cfg.Channel.ideal() && cfg.Clock == nil && cfg.Tracer == nil {
-		// One-shot kernel: campaigns that replay one (graph, schedule,
-		// sink) triple should build a ConvergecastKernel once and call
-		// Run per configuration instead.
-		k, err := NewConvergecastKernel(g, sp.S, cfg.Sink)
-		if err != nil {
-			return nil, err
-		}
-		return k.run(cfg, maxQ, em, rateAt), nil
 	}
 	return runConvergecastLegacy(g, proto, cfg, parent, maxQ, em, clock, rateAt)
 }
 
-// runConvergecastLegacy is the original per-node, per-slot reference loop.
-// It handles every protocol and channel extension; the fast path handles
-// the paper's core model and is pinned byte-identical to this loop there.
+// runConvergecastLegacy is the original per-node, per-slot loop. It handles
+// every protocol and channel extension; the fast path handles the paper's
+// core model and is pinned byte-identical to this loop there.
 func runConvergecastLegacy(g *topology.Graph, proto Protocol, cfg ConvergecastConfig,
 	parent []int, maxQ int, em EnergyModel, clock *clockState, rateAt func(int) float64) (*ConvergecastResult, error) {
 	n := g.N()

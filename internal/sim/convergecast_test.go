@@ -16,8 +16,12 @@ func TestConvergecastForwardingQueueDrop(t *testing.T) {
 	g := topology.Line(3)
 	s := tdmaSchedule(t, 3)
 	for _, legacy := range []bool{false, true} {
-		res, err := RunConvergecast(g, s, ConvergecastConfig{
-			Sink: 0, Rate: 0.8, Frames: 60, MaxQueue: 1, Seed: 9, Legacy: legacy,
+		run := RunConvergecast
+		if legacy {
+			run = runConvergecastReference
+		}
+		res, err := run(g, s, ConvergecastConfig{
+			Sink: 0, Rate: 0.8, Frames: 60, MaxQueue: 1, Seed: 9,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -106,8 +110,12 @@ func TestConvergecastZeroRatePhaseGeneratesNothing(t *testing.T) {
 	g := topology.Ring(5)
 	s := tdmaSchedule(t, 5)
 	for _, legacy := range []bool{false, true} {
-		res, err := RunConvergecast(g, s, ConvergecastConfig{
-			Sink: 0, Frames: 6, Seed: 17, Legacy: legacy,
+		run := RunConvergecast
+		if legacy {
+			run = runConvergecastReference
+		}
+		res, err := run(g, s, ConvergecastConfig{
+			Sink: 0, Frames: 6, Seed: 17,
 			Phases: []TrafficPhase{{Slots: 4, Rate: 0}},
 		})
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file pins the struct-of-arrays fast paths byte-identical to the
-// legacy reference loops: every field of every result struct — including
+// reference loops of oracle_test.go: every field of every result struct — including
 // the float-valued rates, energies, and latency summaries — must satisfy
 // reflect.DeepEqual, not a tolerance. The identity holds because both
 // paths derive all floats through the shared integer-census finalizers
@@ -49,7 +49,7 @@ func diffTopologies(t *testing.T, n int) map[string]*topology.Graph {
 func assertSaturationIdentical(t *testing.T, g *topology.Graph, s *core.Schedule, frames int, em EnergyModel) {
 	t.Helper()
 	fast, errFast := RunSaturation(g, s, frames, em)
-	legacy, errLegacy := RunSaturationLegacy(g, s, frames, em)
+	legacy, errLegacy := runSaturationReference(g, s, frames, em)
 	if (errFast == nil) != (errLegacy == nil) {
 		t.Fatalf("error disagreement: fast=%v legacy=%v", errFast, errLegacy)
 	}
@@ -89,10 +89,8 @@ func assertSaturationIdentical(t *testing.T, g *topology.Graph, s *core.Schedule
 
 func assertConvergecastIdentical(t *testing.T, g *topology.Graph, s *core.Schedule, cfg ConvergecastConfig) {
 	t.Helper()
-	cfg.Legacy = false
 	fast, errFast := RunConvergecast(g, s, cfg)
-	cfg.Legacy = true
-	legacy, errLegacy := RunConvergecast(g, s, cfg)
+	legacy, errLegacy := runConvergecastReference(g, s, cfg)
 	if (errFast == nil) != (errLegacy == nil) {
 		t.Fatalf("error disagreement: fast=%v legacy=%v", errFast, errLegacy)
 	}
@@ -107,7 +105,6 @@ func assertConvergecastIdentical(t *testing.T, g *topology.Graph, s *core.Schedu
 	}
 	// Sweep shard counts and the CSR representation against the sequential
 	// fast result — cfg.Shards must be invisible in the output.
-	cfg.Legacy = false
 	cg := g.Compress()
 	for _, shards := range []int{2, -1} {
 		cfg.Shards = shards
@@ -153,7 +150,7 @@ func TestSaturationDifferentialMatrix(t *testing.T) {
 
 // TestConvergecastDifferentialMatrix sweeps the traffic knobs — rate, queue
 // bound, warmup, phase cycling, seed — across topology classes and duty
-// points, asserting the Legacy toggle changes nothing, bit for bit.
+// points, asserting the fast path matches the reference loop bit for bit.
 func TestConvergecastDifferentialMatrix(t *testing.T) {
 	const n = 12
 	schedules := map[string]*core.Schedule{
@@ -204,7 +201,7 @@ func TestSaturationKernelReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := RunSaturationLegacy(g, s, 2, DefaultEnergy())
+		legacy, err := runSaturationReference(g, s, 2, DefaultEnergy())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,42 +182,6 @@ func (sc *ccFastScratch) reset(n, nw int) {
 	}
 }
 
-// Run executes one convergecast run on the kernel's triple. The arrival
-// RNG stream, the ascending-receiver resolution order, and the Summary
-// contents replay the legacy loop exactly, so the result is
-// reflect.DeepEqual-identical to RunConvergecastProtocol with cfg.Legacy
-// on the same inputs — at every cfg.Shards value (pinned by the
-// differential matrix and fuzz harness in this package). Fields of cfg
-// outside the core model (Channel, Clock, Tracer, Legacy) must be unset,
-// and cfg.Sink must match the kernel's sink.
-func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, error) {
-	if cfg.Sink != k.sink {
-		return nil, fmt.Errorf("sim: kernel built for sink %d, config has %d", k.sink, cfg.Sink)
-	}
-	if cfg.Frames < 1 {
-		return nil, fmt.Errorf("sim: frames = %d", cfg.Frames)
-	}
-	if cfg.Rate < 0 {
-		return nil, fmt.Errorf("sim: negative rate")
-	}
-	if !cfg.Channel.ideal() || cfg.Clock != nil || cfg.Tracer != nil || cfg.Legacy {
-		return nil, fmt.Errorf("sim: convergecast kernel only runs the ideal-channel fast path")
-	}
-	rateAt, err := rateFunc(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	maxQ := cfg.MaxQueue
-	if maxQ == 0 {
-		maxQ = 64
-	}
-	em := cfg.Energy
-	if em == (EnergyModel{}) {
-		em = DefaultEnergy()
-	}
-	return k.run(cfg, maxQ, em, rateAt), nil
-}
-
 // ccShardWorkers runs the persistent contention workers of a sharded run.
 // Each worker owns a contiguous word-aligned receiver range: it scans the
 // slot's full transmitter words but accumulates contention only into the
@@ -298,10 +262,33 @@ func (k *ConvergecastKernel) contentionRange(sc *ccFastScratch, i, lo, hi int) {
 	}
 }
 
-// run is the slot loop. The ideal channel draws no randomness, so the RNG
-// is consumed by packet generation alone, in the same (node, slot) order
-// as the reference loop.
-func (k *ConvergecastKernel) run(cfg ConvergecastConfig, maxQ int, em EnergyModel, rateAt func(int) float64) *ConvergecastResult {
+// Run executes one convergecast run on the kernel's triple. The arrival
+// RNG stream, the ascending-receiver resolution order, and the Summary
+// contents replay the per-node loop exactly, so the result is
+// reflect.DeepEqual-identical to that loop's on the same inputs — at every
+// cfg.Shards value (pinned by the differential matrix and fuzz harness in
+// this package). Fields of cfg outside the core model (Channel, Clock,
+// Tracer) must be unset, and cfg.Sink must match the kernel's sink.
+//
+// The ideal channel draws no randomness, so the RNG is consumed by packet
+// generation alone, in the same (node, slot) order as the per-node loop.
+func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, error) {
+	if cfg.Sink != k.sink {
+		return nil, fmt.Errorf("sim: kernel built for sink %d, config has %d", k.sink, cfg.Sink)
+	}
+	if cfg.Frames < 1 {
+		return nil, fmt.Errorf("sim: frames = %d", cfg.Frames)
+	}
+	if cfg.Rate < 0 {
+		return nil, fmt.Errorf("sim: negative rate")
+	}
+	if !cfg.Channel.ideal() || cfg.Clock != nil || cfg.Tracer != nil {
+		return nil, fmt.Errorf("sim: convergecast kernel only runs the ideal-channel fast path")
+	}
+	maxQ, em, rateAt, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
 	n, L, nw, sink, parent := k.n, k.l, k.nw, k.sink, k.parent
 	// The RNG lives in a stack value (not behind NewRNG's heap pointer) so
 	// the inlined draw calls in the generation loop keep its state in a
@@ -487,5 +474,5 @@ func (k *ConvergecastKernel) run(cfg ConvergecastConfig, maxQ int, em EnergyMode
 		res.InFlight += len(queues[v]) - int(sc.qhead[v])
 	}
 	finishConvergecast(res, em, sc.txCnt, sc.rxCnt, totalSlots)
-	return res
+	return res, nil
 }

@@ -28,9 +28,10 @@ func energyFromCounts(em EnergyModel, tx, rx, sleep int) float64 {
 // finishSaturation derives every reported field of res from the integer core
 // of a saturation run: whole-run delivery counts per directed link in u-major
 // order (u ascending, then v ascending within Neighbors(u)), and whole-run
-// transmit-role / receive-role node-slot counts. The legacy loop and the fast
-// path both end here, so the derived floats (per-frame rates, throughputs,
-// energy, active fraction) are structurally identical between them.
+// transmit-role / receive-role node-slot counts. The fast path and its
+// test-only reference loop both end here, so the derived floats (per-frame
+// rates, throughputs, energy, active fraction) are structurally identical
+// between them.
 func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, linkCounts []int, txSlots, rxSlots int) {
 	n := g.N()
 	frames, L := res.Frames, res.SlotsPerFrame
@@ -191,8 +192,9 @@ func (ss *satShardScratch) reset(lw int) {
 // eligible slot, so the delivery pattern of slot i is identical in every
 // frame — which lets the fast path resolve a single frame with bitset word
 // operations and scale the integer counters by the frame count. The result
-// is field-for-field identical to RunSaturationLegacy on the same inputs
-// (pinned by the differential matrix and fuzz harness in this package).
+// is field-for-field identical to the per-node reference loop on the same
+// inputs (pinned by the differential matrix and fuzz harness in this
+// package).
 func (k *SaturationKernel) Run(g *topology.Graph, frames int, em EnergyModel) (*SaturationResult, error) {
 	return k.RunSharded(g, frames, em, 1)
 }

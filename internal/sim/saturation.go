@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -46,39 +43,6 @@ type SaturationResult struct {
 	ActiveFraction float64
 }
 
-// satScratch is the per-run working state of RunSaturationLegacy, pooled so
-// a campaign of many short runs (the engine's saturation grids) reuses one
-// set of buffers per worker instead of allocating ~2n² ints per job.
-type satScratch struct {
-	transmitting []bool
-	// counts[u*n+v] counts collision-free u→v deliveries.
-	counts []int
-	// lastDelivery[u*n+v] is the absolute slot of the last u→v delivery,
-	// or -1 before the first.
-	lastDelivery []int
-	// links gathers the u-major per-link counts handed to finishSaturation.
-	links []int
-}
-
-var satPool = sync.Pool{New: func() any { return new(satScratch) }}
-
-// reset sizes the scratch for n nodes and clears it.
-func (sc *satScratch) reset(n int) {
-	if cap(sc.transmitting) < n {
-		sc.transmitting = make([]bool, n)
-		sc.counts = make([]int, n*n)
-		sc.lastDelivery = make([]int, n*n)
-	}
-	sc.transmitting = sc.transmitting[:n]
-	sc.counts = sc.counts[:n*n]
-	sc.lastDelivery = sc.lastDelivery[:n*n]
-	for i := range sc.counts {
-		sc.counts[i] = 0
-		sc.lastDelivery[i] = -1
-	}
-	sc.links = sc.links[:0]
-}
-
 // RunSaturation simulates the worst-case load: every node of g transmits a
 // (broadcast) packet in every slot the schedule lets it, and every eligible
 // receiver listens. A delivery u→v is recorded when v listens and u is the
@@ -86,11 +50,10 @@ func (sc *satScratch) reset(n int) {
 // for a class containing g, every directed link is guaranteed at least one
 // delivery per frame.
 //
-// RunSaturation runs the struct-of-arrays fast path (the toggle default).
-// RunSaturationLegacy runs the per-node reference loop instead; the two are
-// field-for-field identical, pinned by the differential tests in this
-// package. Campaigns that run many topologies against one schedule should
-// build a SaturationKernel once and call Run per topology.
+// RunSaturation runs the struct-of-arrays fast path, pinned field for field
+// to a per-node reference loop by the differential tests in this package.
+// Campaigns that run many topologies against one schedule should build a
+// SaturationKernel once and call Run per topology.
 func RunSaturation(g *topology.Graph, s *core.Schedule, frames int, em EnergyModel) (*SaturationResult, error) {
 	k, err := NewSaturationKernel(s, g.N())
 	if err != nil {
@@ -109,83 +72,6 @@ func RunSaturationSharded(g *topology.Graph, s *core.Schedule, frames int, em En
 		return nil, err
 	}
 	return k.RunSharded(g, frames, em, shards)
-}
-
-// RunSaturationLegacy is the original slot-by-slot, node-by-node saturation
-// loop. It is retained as the trusted differential reference for the fast
-// path (the same kernel-pinning discipline internal/core uses for its naive
-// verification kernels) and as the escape hatch when the fast path is ever
-// in doubt.
-func RunSaturationLegacy(g *topology.Graph, s *core.Schedule, frames int, em EnergyModel) (*SaturationResult, error) {
-	if g.N() > s.N() {
-		return nil, fmt.Errorf("sim: graph has %d nodes but schedule supports %d", g.N(), s.N())
-	}
-	if frames < 1 {
-		return nil, fmt.Errorf("sim: frames = %d", frames)
-	}
-	n := g.N()
-	L := s.L()
-	res := &SaturationResult{
-		Frames:        frames,
-		SlotsPerFrame: L,
-	}
-	sc := satPool.Get().(*satScratch)
-	defer satPool.Put(sc)
-	sc.reset(n)
-	transmitting, counts, lastDelivery := sc.transmitting, sc.counts, sc.lastDelivery
-	txSlots, rxSlots := 0, 0
-	for f := 0; f < frames; f++ {
-		for i := 0; i < L; i++ {
-			abs := f*L + i
-			for u := 0; u < n; u++ {
-				role := s.RoleOf(u, i)
-				transmitting[u] = role == core.Transmit
-				switch role {
-				case core.Transmit:
-					txSlots++
-				case core.Receive:
-					rxSlots++
-				}
-			}
-			for v := 0; v < n; v++ {
-				if s.RoleOf(v, i) != core.Receive {
-					continue
-				}
-				sender := -1
-				count := 0
-				g.ForEachNeighbor(v, func(u int) bool {
-					if transmitting[u] {
-						count++
-						sender = u
-					}
-					return true
-				})
-				switch {
-				case count == 1:
-					key := sender*n + v
-					counts[key]++
-					if last := lastDelivery[key]; last >= 0 {
-						if gap := abs - last - 1; gap > res.MaxInterDeliveryGap {
-							res.MaxInterDeliveryGap = gap
-						}
-					}
-					lastDelivery[key] = abs
-				case count > 1:
-					res.CollisionSlots++
-				}
-			}
-		}
-	}
-	// Gather the flat counters into u-major link order and derive every
-	// reported field through the finalizer shared with the fast path.
-	for u := 0; u < n; u++ {
-		g.ForEachNeighbor(u, func(v int) bool {
-			sc.links = append(sc.links, counts[u*n+v])
-			return true
-		})
-	}
-	finishSaturation(res, g, em, sc.links, txSlots, rxSlots)
-	return res, nil
 }
 
 // GuaranteedPerLink computes, for every directed edge u→v of g, the

@@ -70,12 +70,6 @@ func RunSaturation(g *Graph, s *Schedule, frames int, em EnergyModel) (*Saturati
 	return sim.RunSaturation(g, s, frames, em)
 }
 
-// RunSaturationLegacy is the slot-by-slot reference loop for RunSaturation,
-// retained as the differential baseline for the struct-of-arrays fast path.
-func RunSaturationLegacy(g *Graph, s *Schedule, frames int, em EnergyModel) (*SaturationResult, error) {
-	return sim.RunSaturationLegacy(g, s, frames, em)
-}
-
 // RunSaturationSharded is RunSaturation with the frame resolution split
 // across word-aligned node ranges (0 or 1 shard = sequential, negative =
 // one per CPU). Results are byte-identical at every shard count.
