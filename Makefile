@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScheduleFromSlotSets -fuzztime 10s .
 	$(GO) test -fuzz FuzzCacheGet -fuzztime 10s ./internal/schedcache
 	$(GO) test -fuzz FuzzSimEquivalence -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzRNGScan -fuzztime 10s ./internal/stats
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzVerifierDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCampaign -fuzztime 10s ./internal/engine

@@ -69,10 +69,10 @@ func starved(g *ttdc.Graph, s *ttdc.Schedule) (int, float64) {
 		log.Fatal(err)
 	}
 	total, bad := 0, 0
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
+	for _, row := range res.Delivered {
+		for _, d := range row {
 			total++
-			if res.Delivered[u][v] == 0 {
+			if d == 0 {
 				bad++
 			}
 		}

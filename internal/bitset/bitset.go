@@ -48,6 +48,25 @@ func FromSlice(capacity int, elems []int) *Set {
 	return s
 }
 
+// Window returns a new set with s's capacity holding the elements of s in
+// [lo, hi): s's words from lo's to hi-1's, with the two end words masked,
+// so a run of consecutive elements costs a word copy, not an Add per
+// element. It panics unless 0 <= lo <= hi <= Cap().
+func (s *Set) Window(lo, hi int) *Set {
+	if lo < 0 || lo > hi || hi > s.cap {
+		panic(fmt.Sprintf("bitset: window [%d,%d) out of range [0,%d]", lo, hi, s.cap))
+	}
+	w := New(s.cap)
+	if lo == hi {
+		return w
+	}
+	first, last := lo/wordBits, (hi-1)/wordBits
+	copy(w.words[first:last+1], s.words[first:last+1])
+	w.words[first] &= ^uint64(0) << uint(lo%wordBits)
+	w.words[last] &= ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
+	return w
+}
+
 // Cap returns the capacity of the set: elements lie in [0, Cap()).
 func (s *Set) Cap() int { return s.cap }
 

@@ -513,3 +513,50 @@ func BenchmarkTranspose(b *testing.B) {
 		Transpose(rows, 8192)
 	}
 }
+
+// TestWindowMatchesBitByBit checks Window against a bit-by-bit filter at
+// every word-boundary endpoint, including empty windows (lo == hi), on a
+// full set and on a random one, for capacities with a partial last word
+// and an exact multiple of 64.
+func TestWindowMatchesBitByBit(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, capacity := range []int{130, 192} {
+		full, random := New(capacity), New(capacity)
+		for i := 0; i < capacity; i++ {
+			full.Add(i)
+			if r.Intn(3) == 0 {
+				random.Add(i)
+			}
+		}
+		ends := []int{0, 63, 64, 65, capacity - 1, capacity}
+		for _, s := range []*Set{full, random} {
+			for _, lo := range ends {
+				for _, hi := range ends {
+					if lo > hi {
+						continue
+					}
+					want := New(capacity)
+					for i := lo; i < hi; i++ {
+						if s.Contains(i) {
+							want.Add(i)
+						}
+					}
+					got := s.Window(lo, hi)
+					if got.Cap() != capacity || !reflect.DeepEqual(got.Words(), want.Words()) {
+						t.Fatalf("cap %d: Window(%d, %d) of %v = %v, want %v", capacity, lo, hi, s, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, bad := range [][2]int{{-1, 3}, {5, 4}, {0, 131}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Window(%d, %d) on capacity 130 did not panic", bad[0], bad[1])
+				}
+			}()
+			New(130).Window(bad[0], bad[1])
+		}()
+	}
+}

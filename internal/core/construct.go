@@ -103,9 +103,9 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 		// Each subset becomes one set shared by all k_T·k_R output slots
 		// it appears in; only a receiver subset that line 8 pads is
 		// copied, because its padding depends on the transmitter subset.
-		tSets := subsetSets(n, div.divideT(tElems, sizeT))
+		tSets := div.subsetSets(ns.t[i], div.divideT(tElems, sizeT))
 		rSubsets := div.divideR(rElems, opts.AlphaR)
-		rSets := subsetSets(n, rSubsets)
+		rSets := div.subsetSets(ns.r[i], rSubsets)
 		for _, tSet := range tSets {
 			for j, rSet := range rSets {
 				if len(rSubsets[j]) < opts.AlphaR {
@@ -127,11 +127,18 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 	return out, nil
 }
 
-// subsetSets builds one bitset over V_n per subset.
-func subsetSets(n int, subsets [][]int) []*bitset.Set {
+// subsetSets builds one bitset over V_n per subset of slot's elements. A
+// Sequential subset is a run of consecutive elements of slot, so its set
+// is slot's window from the run's first element to its last; Balanced
+// subsets are not runs and are built element by element.
+func (d *divider) subsetSets(slot *bitset.Set, subsets [][]int) []*bitset.Set {
 	sets := make([]*bitset.Set, len(subsets))
 	for i, sub := range subsets {
-		sets[i] = bitset.FromSlice(n, sub)
+		if d.strategy == Balanced {
+			sets[i] = bitset.FromSlice(slot.Cap(), sub)
+		} else {
+			sets[i] = slot.Window(sub[0], sub[len(sub)-1]+1)
+		}
 	}
 	return sets
 }

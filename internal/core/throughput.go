@@ -36,19 +36,32 @@ func AvgThroughputBruteForce(s *Schedule, d int) *big.Rat {
 //
 //	Thr^ave = Σ_i |T[i]|·|R[i]|·C(n-|T[i]|-1, D-1) / (n(n-1)·C(n-2,D-1)·L)
 //
-// Cost is Θ(L) big-integer operations.
+// A slot's term depends only on its shape (|T[i]|, |R[i]|), and a
+// Construct output has a handful of shapes, so the slots are counted per
+// shape and each shape adds count·|T|·|R|·C(n-|T|-1, D-1) once: Θ(L)
+// popcounts and Θ(shapes) big-integer operations.
 func AvgThroughput(s *Schedule, d int) *big.Rat {
 	validateD(s.n, d)
-	num := new(big.Int)
-	term := new(big.Int)
+	type shape struct{ t, r int }
+	var shapes []shape // first-seen order, so the sum is built in a fixed order
+	slots := make(map[shape]int)
 	for i := 0; i < s.L(); i++ {
-		ti := s.t[i].Count()
-		ri := s.r[i].Count()
-		if ti == 0 || ri == 0 {
+		sh := shape{s.t[i].Count(), s.r[i].Count()}
+		if sh.t == 0 || sh.r == 0 {
 			continue
 		}
-		term.Mul(big.NewInt(int64(ti)), big.NewInt(int64(ri)))
-		term.Mul(term, combin.Binomial(s.n-ti-1, d-1))
+		if slots[sh] == 0 {
+			shapes = append(shapes, sh)
+		}
+		slots[sh]++
+	}
+	num := new(big.Int)
+	term := new(big.Int)
+	count := new(big.Int)
+	for _, sh := range shapes {
+		term.SetInt64(int64(sh.t) * int64(sh.r))
+		term.Mul(term, count.SetInt64(int64(slots[sh])))
+		term.Mul(term, combin.Binomial(s.n-sh.t-1, d-1))
 		num.Add(num, term)
 	}
 	den := new(big.Int).Mul(big.NewInt(int64(s.n)), big.NewInt(int64(s.n-1)))

@@ -135,8 +135,8 @@ func runE9() (*Result, error) {
 		want := sim.GuaranteedPerLink(g, s)
 		exact := true
 		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(u) {
-				if sat.Delivered[u][v] != want[u][v]*sat.Frames {
+			for k, v := range g.Neighbors(u) {
+				if sat.Delivered[u][k] != want[u][v]*sat.Frames {
 					exact = false
 				}
 			}
@@ -275,8 +275,8 @@ func runE11() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ttStarved := countStarved(g, ttRes)
-		colStarved := countStarved(g, colRes)
+		ttStarved := countStarved(ttRes)
+		colStarved := countStarved(colRes)
 		ttStarvedTotal += ttStarved
 		colStarvedTotal += colStarved
 		tab.AddRow(step, g.EdgeCount(), ttStarved, colStarved)
@@ -320,11 +320,11 @@ func runE11() (*Result, error) {
 	return res, nil
 }
 
-func countStarved(g *topology.Graph, r *sim.SaturationResult) int {
+func countStarved(r *sim.SaturationResult) int {
 	starved := 0
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if r.Delivered[u][v] == 0 {
+	for _, row := range r.Delivered {
+		for _, d := range row {
+			if d == 0 {
 				starved++
 			}
 		}

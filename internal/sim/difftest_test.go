@@ -343,7 +343,8 @@ func FuzzSimEquivalence(f *testing.F) {
 	f.Add([]byte{9, 5, 200, 9, 0xff, 0x00, 0x55, 0xaa, 0x12})
 	f.Add([]byte{3, 1, 42, 250, 0x99, 0x42})
 	f.Add([]byte{7, 3, 77, 128, 0x24, 0x8d, 0xe1, 0x5a, 0x36, 0x6d})
-	f.Add([]byte{8, 4, 31, 65, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // parallel-kernel seed: Shards = 2
+	f.Add([]byte{8, 4, 31, 65, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb})  // parallel-kernel seed: Shards = 2
+	f.Add([]byte{9, 0x83, 6, 6, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // low-rate seed: data[1] >= 0x80
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -359,9 +360,15 @@ func FuzzSimEquivalence(f *testing.F) {
 		g := fuzzGraph(n, extra, seed)
 		frames := 1 + int(data[2])%3
 		assertSaturationIdentical(t, g, s, frames, DefaultEnergy())
+		rate := 0.2 + float64(data[0]%4)*0.4
+		if data[1] >= 0x80 {
+			// A campaign-like rate, at which the arrival scan skips whole
+			// runs of draws between arrivals.
+			rate = 0.02
+		}
 		cfg := ConvergecastConfig{
 			Sink:         int(data[3]) % n,
-			Rate:         0.2 + float64(data[0]%4)*0.4,
+			Rate:         rate,
 			Frames:       2,
 			MaxQueue:     int(data[1]) % 3, // 0 means the 64 default
 			WarmupFrames: int(data[2]) % 2,
@@ -370,4 +377,31 @@ func FuzzSimEquivalence(f *testing.F) {
 		}
 		assertConvergecastIdentical(t, g, s, cfg)
 	})
+}
+
+// TestConvergecastDifferentialCampaignRates holds the fast path to the
+// reference loop at the campaign's arrival rates, where the arrival scan
+// skips long runs of draws: the campaign default 0.002 on the campaign's
+// 20×20 grid and duty point, 0.05, and a phase cycle whose rate drops to 0
+// and comes back. The sinks leave an empty [0, sink) span, an interior
+// split, and an empty (sink, n) span; the 399-, 211- and 188-node spans
+// cover lengths on and off a multiple of four.
+func TestConvergecastDifferentialCampaignRates(t *testing.T) {
+	const n = 400
+	s := dutySchedule(t, n, 4, 20, 120)
+	g := topology.Grid(20, 20)
+	phases := []TrafficPhase{{Slots: 7, Rate: 0.05}, {Slots: 5, Rate: 0}, {Slots: 3, Rate: 0.05}, {Slots: 9, Rate: 0.002}}
+	configs := map[string]ConvergecastConfig{
+		"rate0.002": {Rate: 0.002, Frames: 3, Seed: 21},
+		"rate0.05":  {Rate: 0.05, Frames: 2, Seed: 22},
+		"phases":    {Frames: 2, Seed: 23, Phases: phases},
+	}
+	for _, sink := range []int{0, 211, n - 1} {
+		for cname, cfg := range configs {
+			cfg.Sink = sink
+			t.Run(fmt.Sprintf("sink%d/%s", sink, cname), func(t *testing.T) {
+				assertConvergecastIdentical(t, g, s, cfg)
+			})
+		}
+	}
 }

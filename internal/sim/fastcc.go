@@ -323,13 +323,14 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 	// math.Exp per (node, slot) goes away.
 	lastRate := math.Inf(-1)
 	limit := 0.0
-	limitBits := uint64(0)
+	noArrival := uint64(0)
 	queues := sc.queues
 	for slot := 0; slot < totalSlots; slot++ {
 		measuring := slot >= warmupSlots
 		rate := rateAt(slot)
-		// Packet generation: identical control flow (and RNG consumption) to
-		// the legacy loop's poissonDraw calls.
+		// Packet generation: the same RNG consumption as the reference
+		// loop's poissonDraw calls, one draw per node v ≠ sink ascending,
+		// then the inversion's extra draws at each node with an arrival.
 		if rate > 0 {
 			if rate != lastRate {
 				lastRate = rate
@@ -337,41 +338,46 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 				// The RNG's Float64 is float64(Uint64()>>11) / 2⁵³ with an
 				// exactly-representable 53-bit mantissa, and limit·2⁵³ only
 				// shifts limit's exponent, so `draw > limit` is decidable in
-				// the integer domain: m > ⌊limit·2⁵³⌋. The common no-arrival
-				// case then skips the int→float conversion entirely.
-				limitBits = uint64(math.Ldexp(limit, 53))
+				// the integer domain: Uint64()>>11 > ⌊limit·2⁵³⌋, that is
+				// Uint64() > ⌊limit·2⁵³⌋<<11 | 0x7FF. At limit == 1 no draw
+				// arrives.
+				noArrival = math.MaxUint64
+				if limitBits := uint64(math.Ldexp(limit, 53)); limitBits < 1<<53 {
+					noArrival = limitBits<<11 | 0x7FF
+				}
 			}
-			for v := 0; v < n; v++ {
-				if v == sink {
-					continue
-				}
-				m := rng.Uint64() >> 11
-				if m <= limitBits {
-					continue // no arrivals at v this slot
-				}
-				// Rare path: ≥1 arrival. Reconstruct the draw as Float64
-				// would have returned it and continue the inversion product
-				// exactly as the reference loop does.
-				kk := 0
-				for p := float64(m) / (1 << 53); p > limit; kk++ {
-					p *= rng.Float64()
-				}
-				for ; kk > 0; kk-- {
-					if measuring {
-						res.Generated++
+			// Scan the draws of [0, sink) then (sink, n) for the few nodes
+			// with an arrival; the nodes in between draw nothing else.
+			for _, span := range [2][2]int{{0, sink}, {sink + 1, n}} {
+				for v, end := span[0], span[1]; v < end; v++ {
+					skipped, draw := rng.ScanAbove(end-v, noArrival)
+					if v += skipped; v == end {
+						break
 					}
-					qlen := len(queues[v]) - int(sc.qhead[v])
-					if qlen >= maxQ {
+					// Rare path: ≥1 arrival at v. Reconstruct the draw as
+					// Float64 would have returned it and continue the
+					// inversion product exactly as the reference loop does.
+					kk := 0
+					for p := float64(draw>>11) / (1 << 53); p > limit; kk++ {
+						p *= rng.Float64()
+					}
+					for ; kk > 0; kk-- {
 						if measuring {
-							res.Dropped++
+							res.Generated++
 						}
-						continue
+						qlen := len(queues[v]) - int(sc.qhead[v])
+						if qlen >= maxQ {
+							if measuring {
+								res.Dropped++
+							}
+							continue
+						}
+						if qlen == 0 {
+							sc.arrivedAt[v] = slot
+							sc.hasTraffic[v>>6] |= uint64(1) << uint(v&63)
+						}
+						queues[v] = append(queues[v], Packet{Origin: v, Created: slot})
 					}
-					if qlen == 0 {
-						sc.arrivedAt[v] = slot
-						sc.hasTraffic[v>>6] |= uint64(1) << uint(v&63)
-					}
-					queues[v] = append(queues[v], Packet{Origin: v, Created: slot})
 				}
 			}
 		}

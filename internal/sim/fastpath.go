@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -35,31 +36,22 @@ func energyFromCounts(em EnergyModel, tx, rx, sleep int) float64 {
 func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, linkCounts []int, txSlots, rxSlots int) {
 	n := g.N()
 	frames, L := res.Frames, res.SlotsPerFrame
-	delivered := make(map[int]map[int]int, n)
-	totalLinks := 0
-	totalDeliveries := 0
-	minPerFrame := -1.0
+	// The u-major order is Delivered's layout: row u is u's Degree(u)
+	// links, in Neighbors(u) order, all rows in one copy of linkCounts.
+	counts := append([]int(nil), linkCounts...)
+	res.Delivered = make([][]int, n)
 	id := 0
 	for u := 0; u < n; u++ {
-		delivered[u] = make(map[int]int)
-		g.ForEachNeighbor(u, func(v int) bool {
-			d := linkCounts[id]
-			id++
-			if d > 0 {
-				delivered[u][v] = d
-			}
-			totalLinks++
-			totalDeliveries += d
-			perFrame := float64(d) / float64(frames)
-			if minPerFrame < 0 || perFrame < minPerFrame {
-				minPerFrame = perFrame
-			}
-			return true
-		})
+		next := id + g.Degree(u)
+		res.Delivered[u] = counts[id:next:next]
+		id = next
 	}
-	res.Delivered = delivered
-	if totalLinks > 0 {
-		res.MinLinkPerFrame = minPerFrame
+	totalDeliveries := 0
+	for _, d := range counts {
+		totalDeliveries += d
+	}
+	if totalLinks := len(counts); totalLinks > 0 {
+		res.MinLinkPerFrame = float64(slices.Min(counts)) / float64(frames)
 		res.AvgLinkPerFrame = float64(totalDeliveries) / float64(totalLinks) / float64(frames)
 		res.MinLinkThroughput = res.MinLinkPerFrame / float64(L)
 		res.AvgLinkThroughput = res.AvgLinkPerFrame / float64(L)

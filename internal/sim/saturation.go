@@ -12,9 +12,10 @@ type SaturationResult struct {
 	Frames int
 	// SlotsPerFrame is the schedule's frame length.
 	SlotsPerFrame int
-	// Delivered[u][v] counts slots in which v (a neighbour of u) received
-	// u's transmission collision-free, over the whole run.
-	Delivered map[int]map[int]int
+	// Delivered[u][k] counts slots in which Neighbors(u)[k] received u's
+	// transmission collision-free, over the whole run. The rows share one
+	// backing array.
+	Delivered [][]int
 	// MinLinkPerFrame is the smallest per-frame delivery count over all
 	// directed links u→v of the topology.
 	MinLinkPerFrame float64

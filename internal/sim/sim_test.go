@@ -50,8 +50,8 @@ func TestSaturationMatchesAnalyticalGuarantees(t *testing.T) {
 	}
 	want := GuaranteedPerLink(g, s)
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			got := res.Delivered[u][v]
+		for k, v := range g.Neighbors(u) {
+			got := res.Delivered[u][k]
 			if got != want[u][v]*res.Frames {
 				t.Fatalf("link %d→%d: sim %d, analytic %d per frame × %d frames",
 					u, v, got, want[u][v], res.Frames)

@@ -21,13 +21,60 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Uint64 returns the next 64 uniformly random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// golden is splitmix64's state increment: the state after k draws is
+// seed + k·golden, whatever the draws were.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function of one state.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 uniformly random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += golden
+	return mix64(r.state)
+}
+
+// ScanAbove consumes draws while they are <= threshold, at most count of
+// them. It returns how many draws it skipped and, when that is less than
+// count, the first draw above threshold, which it consumes too; otherwise
+// the draw is 0. The generator ends in the state the same Uint64 calls
+// would leave, so a caller may mix ScanAbove and the other draws freely.
+//
+// The state advances by golden whatever the draws are, so the next four
+// outputs mix64(s+golden) ... mix64(s+4·golden) do not depend on each
+// other: ScanAbove tests four per step, then finishes one at a time. A
+// run of Bernoulli trials with a small success probability — the
+// convergecast arrival draws — thus costs one loop step per four trials,
+// whose mixes the CPU overlaps, instead of a call per trial.
+//
+//ttdc:hotpath the convergecast arrival scan, twice per slot of every run; register arithmetic only
+func (r *RNG) ScanAbove(count int, threshold uint64) (skipped int, draw uint64) {
+	s := r.state
+	i := 0
+	for ; i+4 <= count; i += 4 {
+		s1 := s + golden
+		s2 := s1 + golden
+		s3 := s2 + golden
+		s4 := s3 + golden
+		if mix64(s1) > threshold || mix64(s2) > threshold ||
+			mix64(s3) > threshold || mix64(s4) > threshold {
+			break
+		}
+		s = s4
+	}
+	for ; i < count; i++ {
+		s += golden
+		if v := mix64(s); v > threshold {
+			r.state = s
+			return i, v
+		}
+	}
+	r.state = s
+	return count, 0
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -104,8 +151,5 @@ func (r *RNG) Split() *RNG {
 // sharing a generator, making per-job results independent of execution
 // order and worker count.
 func DeriveSeed(base uint64, index uint64) uint64 {
-	z := base + (index+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix64(base + (index+1)*golden)
 }

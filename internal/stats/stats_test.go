@@ -302,3 +302,74 @@ func TestDeriveSeedSpread(t *testing.T) {
 		seen[s] = i
 	}
 }
+
+// scanByUint64 is ScanAbove written with one Uint64 call per draw: the
+// reference the four-per-step scan must reproduce draw for draw.
+func scanByUint64(r *RNG, count int, threshold uint64) (int, uint64) {
+	for i := 0; i < count; i++ {
+		if v := r.Uint64(); v > threshold {
+			return i, v
+		}
+	}
+	return count, 0
+}
+
+// assertScanMatches runs ScanAbove and the Uint64 loop from the same seed
+// and requires the same count, draw and final generator state.
+func assertScanMatches(t *testing.T, seed uint64, count int, threshold uint64) {
+	t.Helper()
+	got, want := NewRNG(seed), NewRNG(seed)
+	gotN, gotV := got.ScanAbove(count, threshold)
+	wantN, wantV := scanByUint64(want, count, threshold)
+	if gotN != wantN || gotV != wantV || got.state != want.state {
+		t.Fatalf("seed %d count %d threshold %#x: ScanAbove = (%d, %#x) state %#x, Uint64 loop = (%d, %#x) state %#x",
+			seed, count, threshold, gotN, gotV, got.state, wantN, wantV, want.state)
+	}
+}
+
+func TestScanAboveMatchesUint64Loop(t *testing.T) {
+	const large = 1001 // not a multiple of four: the tail loop runs too
+	for seed := uint64(0); seed < 50; seed++ {
+		// A threshold equal to a drawn output: the draw at that position
+		// is skipped (<=), the one above it, if any, is returned.
+		probe := NewRNG(seed)
+		var drawn []uint64
+		for i := 0; i < 12; i++ {
+			drawn = append(drawn, probe.Uint64())
+		}
+		thresholds := []uint64{0, math.MaxUint64, 1 << 63, math.MaxUint64 - math.MaxUint64/50}
+		thresholds = append(thresholds, drawn[seed%12], drawn[(seed+5)%12])
+		for _, threshold := range thresholds {
+			for count := 0; count <= 9; count++ {
+				assertScanMatches(t, seed, count, threshold)
+			}
+			assertScanMatches(t, seed, large, threshold)
+		}
+	}
+	// Chained scans, interleaved with plain draws, stay on the stream.
+	a, b := NewRNG(9), NewRNG(9)
+	threshold := uint64(math.MaxUint64 - math.MaxUint64/20)
+	for step := 0; step < 200; step++ {
+		count := step % 23
+		gotN, gotV := a.ScanAbove(count, threshold)
+		wantN, wantV := scanByUint64(b, count, threshold)
+		if gotN != wantN || gotV != wantV {
+			t.Fatalf("step %d: ScanAbove = (%d, %#x), loop = (%d, %#x)", step, gotN, gotV, wantN, wantV)
+		}
+		if a.Float64() != b.Float64() {
+			t.Fatalf("step %d: streams diverged after the scan", step)
+		}
+	}
+}
+
+// FuzzRNGScan holds ScanAbove to the Uint64 loop on arbitrary seeds,
+// counts and thresholds.
+func FuzzRNGScan(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint64(0))
+	f.Add(uint64(2), uint16(7), uint64(math.MaxUint64))
+	f.Add(uint64(3), uint16(1000), uint64(math.MaxUint64-math.MaxUint64/500))
+	f.Add(uint64(4), uint16(65535), uint64(math.MaxUint64-math.MaxUint64/100000))
+	f.Fuzz(func(t *testing.T, seed uint64, count uint16, threshold uint64) {
+		assertScanMatches(t, seed, int(count), threshold)
+	})
+}
