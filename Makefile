@@ -55,12 +55,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The two subsystems whose concurrency the flow-aware analyzers model get
-# a named race gate of their own: `race` already covers them, but this
-# target keeps them explicit in `make check` output and gives a fast
-# local loop (`make race-conc`) when touching engine or cache internals.
+# The concurrent subsystems get a named race gate of their own: `race`
+# already covers them, but this target keeps them explicit in `make check`
+# output and gives a fast local loop (`make race-conc`) when touching the
+# engine, the caches, or the serving tier's forwarding and validator
+# table. The concurrent-revalidation test runs ten times over.
 race-conc:
-	$(GO) test -race ./internal/engine ./internal/schedcache
+	$(GO) test -race ./internal/engine ./internal/schedcache ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run TestConcurrentRevalidations ./internal/serve
 
 # The struct-of-arrays simulator fast path shares pooled scratch and
 # immutable kernels across the engine worker pool; this gate runs the
@@ -86,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSimEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzRNGScan -fuzztime 10s ./internal/stats
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzVerifierDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCampaign -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzIgnoreDirective -fuzztime 10s ./internal/lint

@@ -129,11 +129,14 @@ type Latency struct {
 // A schedule lookup tries the artifact LRU first and schedcache only on an
 // artifact miss, so CacheHits counts lookups either layer answered and
 // CacheMisses the ones that reached schedcache's miss path; the Artifact
-// fields are the artifact LRU's own counters.
+// fields are the artifact LRU's own counters. LocalNotModified is the part
+// of NotModified the peer answered for keys other peers own, from digests
+// learned across the forward hop.
 type PeerReport struct {
 	Peer              string `json:"peer"`
 	Requests          int64  `json:"requests"`
 	NotModified       int64  `json:"notModified"`
+	LocalNotModified  int64  `json:"localNotModified"`
 	CacheHits         int64  `json:"cacheHits"`
 	CacheMisses       int64  `json:"cacheMisses"`
 	ArtifactHits      int64  `json:"artifactHits"`
@@ -424,11 +427,12 @@ func scrapePeer(client *http.Client, base string) (PeerReport, error) {
 	}
 	defer resp.Body.Close() //nolint:errcheck // test scrape
 	var m struct {
-		Cache       map[string]int64    `json:"cache"`
-		Artifacts   serve.ArtifactStats `json:"artifacts"`
-		Requests    int64               `json:"requests"`
-		NotModified int64               `json:"not_modified"`
-		Shard       *shard.Metrics      `json:"shard"`
+		Cache       map[string]int64     `json:"cache"`
+		Artifacts   serve.ArtifactStats  `json:"artifacts"`
+		Requests    int64                `json:"requests"`
+		NotModified int64                `json:"not_modified"`
+		Shard       *shard.Metrics       `json:"shard"`
+		Validators  serve.ValidatorStats `json:"validators"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		return PeerReport{}, err
@@ -437,6 +441,7 @@ func scrapePeer(client *http.Client, base string) (PeerReport, error) {
 		Peer:              base,
 		Requests:          m.Requests,
 		NotModified:       m.NotModified,
+		LocalNotModified:  m.Validators.LocalNotModified,
 		CacheHits:         m.Artifacts.Hits + m.Cache["hits"],
 		CacheMisses:       m.Cache["misses"],
 		ArtifactHits:      m.Artifacts.Hits,

@@ -139,13 +139,18 @@ func TestLoadAgainstInprocRing(t *testing.T) {
 	if len(doc.PeerReports) != 3 {
 		t.Fatalf("peer reports = %d, want 3", len(doc.PeerReports))
 	}
-	var serverRequests, server304 int64
+	var serverRequests, server304, local304 int64
 	for _, pr := range doc.PeerReports {
 		if pr.LoopRejects != 0 {
 			t.Fatalf("peer %s recorded %d forwarding loops", pr.Peer, pr.LoopRejects)
 		}
 		serverRequests += pr.Requests
 		server304 += pr.NotModified
+		local304 += pr.LocalNotModified
+	}
+	// Entry peers answer revalidations of remote keys they have relayed.
+	if local304 == 0 || local304 > server304 {
+		t.Fatalf("peers answered %d of their %d 304s locally", local304, server304)
 	}
 	// Every client request (plus forwarded hops) landed on some peer.
 	if serverRequests < doc.Counts.Requests {

@@ -107,22 +107,31 @@ func TestScheduleNonSleepingDefault(t *testing.T) {
 	}
 }
 
+// TestScheduleBadRequests pins the status and the error message of each
+// malformed or unbuildable request.
 func TestScheduleBadRequests(t *testing.T) {
 	h := NewHandler(NewService(4), Options{})
 	cases := []struct {
 		path string
 		code int
+		msg  string
 	}{
-		{"/schedule", http.StatusBadRequest},                                    // n missing
-		{"/schedule?n=25", http.StatusBadRequest},                               // D missing
-		{"/schedule?n=x&D=2", http.StatusBadRequest},                            // non-integer
-		{"/schedule?n=25&D=2&alphaT=3", http.StatusBadRequest},                  // αR missing
-		{"/schedule?n=25&D=2&strategy=zigzag", http.StatusBadRequest},           // unknown strategy
-		{"/schedule?n=9&D=2&format=yaml", http.StatusBadRequest},                // unknown format
-		{"/schedule?n=9&D=2&alphaT=8&alphaR=8", http.StatusUnprocessableEntity}, // infeasible caps
-		{"/schedule?n=2&D=9", http.StatusBadRequest},                            // D > n-1
-		{"/schedule?n=999999999&D=3&alphaT=2&alphaR=4", http.StatusBadRequest},  // n past the serving bound
-		{"/schedule?n=65536&D=1000", http.StatusUnprocessableEntity},            // past the build budget
+		{"/schedule", http.StatusBadRequest, "parameter n is required"},
+		{"/schedule?n=0&D=2", http.StatusBadRequest, "parameter n is required"},
+		{"/schedule?n=25", http.StatusBadRequest, "parameter D is required"},
+		{"/schedule?n=x&D=2", http.StatusBadRequest, `parameter n="x" is not an integer`},
+		{"/schedule?n=9&D=x", http.StatusBadRequest, `parameter D="x" is not an integer`},
+		{"/schedule?n=9&D=2&alphaT=x", http.StatusBadRequest, `parameter alphaT="x" is not an integer`},
+		{"/schedule?n=9&D=2&alphaT=1&alphaR=y", http.StatusBadRequest, `parameter alphaR="y" is not an integer`},
+		{"/schedule?n=25&D=2&alphaT=3", http.StatusBadRequest, "schedcache: set both alphaT and alphaR or neither (got 3, 0)"},
+		{"/schedule?n=9&D=2&alphaT=-1&alphaR=-1", http.StatusBadRequest, "schedcache: negative caps (-1, -1)"},
+		{"/schedule?n=25&D=2&strategy=zigzag", http.StatusBadRequest, `schedcache: unknown division strategy "zigzag"`},
+		{"/schedule?n=9&D=2&format=yaml", http.StatusBadRequest, `parameter format="yaml" must be "wire" or "json"`},
+		{"/schedule?n=9&D=2&alphaT=8&alphaR=8", http.StatusUnprocessableEntity, "schedcache: Construct requires αT + αR <= n (got 8 + 8 > 9)"},
+		{"/schedule?n=2&D=9", http.StatusBadRequest, "schedcache: D = 9 outside [1, 1]"},
+		{"/schedule?n=999999999&D=3&alphaT=2&alphaR=4", http.StatusBadRequest, "schedcache: n = 999999999 exceeds the serving bound 65536"},
+		{"/schedule?n=65536&D=1000", http.StatusUnprocessableEntity,
+			"schedcache: base schedule for N(65536, 1000) needs frame length 1018081; n×L = 66720956416 exceeds the build budget 67108864"},
 	}
 	for _, tc := range cases {
 		rec, body := get(t, h, tc.path)
@@ -131,8 +140,8 @@ func TestScheduleBadRequests(t *testing.T) {
 			continue
 		}
 		var e errorResponse
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Errorf("%s: error body not JSON: %s", tc.path, body)
+		if err := json.Unmarshal(body, &e); err != nil || e.Error != tc.msg {
+			t.Errorf("%s: error body %s, want message %q", tc.path, body, tc.msg)
 		}
 	}
 	rec := httptest.NewRecorder()

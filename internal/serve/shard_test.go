@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -34,8 +36,17 @@ func (s *swappable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // testRing spins up n in-process peers, each a full serve handler with a
 // forwarder over the shared ring. Returns the servers and forwarders in
-// peer order; the caller must Close the servers.
-func testRing(t *testing.T, n int) ([]*httptest.Server, []*shard.Forwarder) {
+// peer order; cleanup closes the servers.
+func testRing(t testing.TB, n int) ([]*httptest.Server, []*shard.Forwarder) {
+	t.Helper()
+	servers, fwds, _ := testPeers(t, n, 0)
+	return servers, fwds
+}
+
+// testPeers is testRing with Options.MaxAge set to maxAge, also returning
+// each peer's handler state so tests can read its counters and step its
+// validator clock.
+func testPeers(t testing.TB, n, maxAge int) ([]*httptest.Server, []*shard.Forwarder, []*server) {
 	t.Helper()
 	servers := make([]*httptest.Server, n)
 	swaps := make([]*swappable, n)
@@ -47,15 +58,49 @@ func testRing(t *testing.T, n int) ([]*httptest.Server, []*shard.Forwarder) {
 		t.Cleanup(servers[i].Close)
 	}
 	fwds := make([]*shard.Forwarder, n)
+	peers := make([]*server, n)
 	for i := range servers {
 		f, err := shard.NewForwarder(shard.Config{Self: urls[i], Peers: urls})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fwds[i] = f
-		swaps[i].set(NewHandler(NewService(32), Options{Forwarder: f}))
+		peers[i] = newServer(NewService(32), Options{Forwarder: f, MaxAge: maxAge})
+		swaps[i].set(peers[i].routes())
 	}
-	return servers, fwds
+	return servers, fwds, peers
+}
+
+// fetch GETs url over HTTP with the given Accept and If-None-Match (empty
+// sends none) and returns the response with its drained body.
+func fetch(t testing.TB, url, accept, inm string) (*http.Response, []byte) {
+	t.Helper()
+	resp, body, err := tryFetch(url, accept, inm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// tryFetch is fetch for goroutines other than the test's own.
+func tryFetch(url, accept, inm string) (*http.Response, []byte, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close() //nolint:errcheck // test
+	return resp, body, err
 }
 
 // ownedBy finds a schedule path whose key the ring assigns to peer
@@ -119,6 +164,49 @@ func TestShardForwarding(t *testing.T) {
 	}
 	if got := resp2.Header.Get(shard.CacheHeader); got != "hit" {
 		t.Fatalf("owner should have the schedule cached after the forward, got %q", got)
+	}
+}
+
+// TestShardRelaysVaryAndLength: a key fetched through a non-owner carries
+// the owner's Vary, so a shared cache in front of a peer cannot hand one
+// representation to a client that asked for the other, and a 200 carries
+// the owner's Content-Length instead of arriving chunked. The entry's own
+// 304 sets Vary too.
+func TestShardRelaysVaryAndLength(t *testing.T) {
+	for _, accept := range []string{"", WireContentType} {
+		// A fresh ring per representation: one learned digest would
+		// answer both.
+		servers, fwds := testRing(t, 2)
+		entry, owner := servers[0].URL, servers[1].URL
+		path, _ := ownedBy(t, fwds[0], owner)
+		direct, _ := fetch(t, owner+path, accept, "")
+		tag := direct.Header.Get("ETag")
+		for _, step := range []struct {
+			name     string
+			inm      string
+			status   int
+			servedBy string
+		}{
+			{"forwarded 304", tag, http.StatusNotModified, owner},
+			{"local 304", tag, http.StatusNotModified, entry},
+			{"forwarded 200", "", http.StatusOK, owner},
+		} {
+			resp, body := fetch(t, entry+path, accept, step.inm)
+			if resp.StatusCode != step.status || resp.Header.Get(shard.ServedByHeader) != step.servedBy {
+				t.Fatalf("Accept %q, %s: status %d served by %s, want %d by %s", accept, step.name,
+					resp.StatusCode, resp.Header.Get(shard.ServedByHeader), step.status, step.servedBy)
+			}
+			if v := resp.Header.Get("Vary"); v != "Accept" {
+				t.Errorf("Accept %q, %s: Vary = %q, want Accept", accept, step.name, v)
+			}
+			if step.status != http.StatusOK {
+				continue
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Errorf("Accept %q, %s: Content-Length %q, transfer encoding %v for a %d-byte body",
+					accept, step.name, cl, resp.TransferEncoding, len(body))
+			}
+		}
 	}
 }
 
@@ -225,8 +313,9 @@ func TestShardMetricsExposed(t *testing.T) {
 		t.Fatalf("metrics status %d", rec.Code)
 	}
 	var m struct {
-		Shard  *shard.Metrics        `json:"shard"`
-		Warmer *shard.WarmerSnapshot `json:"warmer"`
+		Shard      *shard.Metrics        `json:"shard"`
+		Warmer     *shard.WarmerSnapshot `json:"warmer"`
+		Validators map[string]int64      `json:"validators"`
 	}
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatalf("metrics not JSON: %v\n%s", err, body)
@@ -236,5 +325,9 @@ func TestShardMetricsExposed(t *testing.T) {
 	}
 	if m.Warmer == nil || m.Warmer.Done {
 		t.Fatalf("warmer fragment missing or already done: %+v", m.Warmer)
+	}
+	want := map[string]int64{"localNotModified": 0, "entries": 0}
+	if !reflect.DeepEqual(m.Validators, want) {
+		t.Fatalf("validators fragment = %v, want %v", m.Validators, want)
 	}
 }

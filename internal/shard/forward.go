@@ -143,23 +143,29 @@ func (f *Forwarder) RejectLoop() { f.loopRejects.Add(1) }
 // backoff; the caller serves locally.
 var errPeerDown = fmt.Errorf("shard: peer is in failure backoff")
 
+// relayedHeaders are the owner's response headers Forward copies to the
+// client: the representation's type, length and validators, and the cache
+// directives that keep a shared cache from mixing representations.
+var relayedHeaders = []string{"Content-Type", "Content-Length", "ETag", "Vary", "Cache-Control", CacheHeader}
+
 // Forward proxies r to owner one hop and writes the proxied response to
-// w. On any error nothing has been written to w — the caller falls back
-// to serving the key locally (and should count it; Metrics already
-// records the failure). Responses with 5xx status also count against the
-// owner's failure threshold, but are still relayed: the owner answered,
-// just unhappily.
-func (f *Forwarder) Forward(w http.ResponseWriter, r *http.Request, owner string) error {
+// w. It returns the owner's ETag when the owner answered 200 or 304 and
+// its body was relayed whole, and "" otherwise. On any error nothing has
+// been written to w — the caller falls back to serving the key locally
+// (and should count it; Metrics already records the failure). Responses
+// with 5xx status also count against the owner's failure threshold, but
+// are still relayed: the owner answered, just unhappily.
+func (f *Forwarder) Forward(w http.ResponseWriter, r *http.Request, owner string) (etag string, err error) {
 	f.mu.Lock()
 	st, ok := f.peers[owner]
 	if !ok {
 		f.mu.Unlock()
-		return fmt.Errorf("shard: %q is not a remote peer", owner)
+		return "", fmt.Errorf("shard: %q is not a remote peer", owner)
 	}
 	if f.now().Before(st.downUntil) {
 		f.mu.Unlock()
 		f.localFallbacks.Add(1)
-		return errPeerDown
+		return "", errPeerDown
 	}
 	f.mu.Unlock()
 
@@ -167,7 +173,7 @@ func (f *Forwarder) Forward(w http.ResponseWriter, r *http.Request, owner string
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, r.Method, owner+r.URL.RequestURI(), nil)
 	if err != nil {
-		return err
+		return "", err
 	}
 	// Carry only the negotiation and revalidation headers; everything
 	// else is hop-local.
@@ -182,7 +188,7 @@ func (f *Forwarder) Forward(w http.ResponseWriter, r *http.Request, owner string
 	if err != nil {
 		f.recordFailure(owner)
 		f.localFallbacks.Add(1)
-		return err
+		return "", err
 	}
 	defer resp.Body.Close() //nolint:errcheck // drained below
 	if resp.StatusCode >= 500 {
@@ -190,15 +196,24 @@ func (f *Forwarder) Forward(w http.ResponseWriter, r *http.Request, owner string
 	} else {
 		f.recordSuccess(owner)
 	}
-	for _, h := range []string{"Content-Type", "ETag", "Cache-Control", CacheHeader} {
+	for _, h := range relayedHeaders {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	w.Header().Set(ServedByHeader, owner)
 	w.WriteHeader(resp.StatusCode)
-	_, err = io.Copy(w, resp.Body)
-	return err
+	// The status line is out, so a failed copy (client gone, or the owner
+	// cut its body short, which the relayed Content-Length shows the
+	// client) is not an error the caller could act on: serving locally now
+	// would write a second response.
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		return "", nil
+	}
+	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
+		etag = resp.Header.Get("ETag")
+	}
+	return etag, nil
 }
 
 // CacheHeader is set by the serving layer to "hit" or "miss" so clients

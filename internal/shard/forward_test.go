@@ -38,7 +38,7 @@ func TestForwarderSelfShortCircuit(t *testing.T) {
 	// Forwarding to yourself is a caller bug, not a network call.
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil)
-	if err := f.Forward(rec, req, "http://self"); err == nil {
+	if _, err := f.Forward(rec, req, "http://self"); err == nil {
 		t.Fatal("Forward to self did not error")
 	}
 	if rec.Body.Len() != 0 || rec.Header().Get(ServedByHeader) != "" {
@@ -53,7 +53,7 @@ func TestForwarderRejectsStranger(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil)
-	if err := f.Forward(rec, req, "http://not-in-ring"); err == nil {
+	if _, err := f.Forward(rec, req, "http://not-in-ring"); err == nil {
 		t.Fatal("Forward to a peer outside the ring did not error")
 	}
 }
@@ -65,14 +65,15 @@ func TestForwarderSelfMustBeMember(t *testing.T) {
 }
 
 // TestForwarderRelaysResponse proxies one hop to a live backend and
-// checks status, body, and header relay (including the loop-guard header
-// arriving at the owner).
+// checks status, body, header relay (including the loop-guard header
+// arriving at the owner), and the ETag Forward hands back.
 func TestForwarderRelaysResponse(t *testing.T) {
 	var sawForwarded string
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sawForwarded = r.Header.Get(ForwardedHeader)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("ETag", `"abc-j"`)
+		w.Header().Set("Vary", "Accept")
 		w.Header().Set("Cache-Control", "public, max-age=60")
 		w.Header().Set(CacheHeader, "hit")
 		w.WriteHeader(http.StatusOK)
@@ -87,8 +88,12 @@ func TestForwarderRelaysResponse(t *testing.T) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil)
 	req.Header.Set("If-None-Match", `"abc-j"`)
-	if err := f.Forward(rec, req, backend.URL); err != nil {
+	etag, err := f.Forward(rec, req, backend.URL)
+	if err != nil {
 		t.Fatalf("Forward: %v", err)
+	}
+	if etag != `"abc-j"` {
+		t.Fatalf("Forward handed back ETag %q, want the owner's", etag)
 	}
 	if sawForwarded != "http://self" {
 		t.Fatalf("owner saw %s=%q, want the forwarding peer", ForwardedHeader, sawForwarded)
@@ -97,11 +102,13 @@ func TestForwarderRelaysResponse(t *testing.T) {
 		t.Fatalf("relayed %d %q", rec.Code, rec.Body.String())
 	}
 	for h, want := range map[string]string{
-		"Content-Type":  "application/json",
-		"ETag":          `"abc-j"`,
-		"Cache-Control": "public, max-age=60",
-		CacheHeader:     "hit",
-		ServedByHeader:  backend.URL,
+		"Content-Type":   "application/json",
+		"Content-Length": "11",
+		"ETag":           `"abc-j"`,
+		"Vary":           "Accept",
+		"Cache-Control":  "public, max-age=60",
+		CacheHeader:      "hit",
+		ServedByHeader:   backend.URL,
 	} {
 		if got := rec.Header().Get(h); got != want {
 			t.Errorf("relayed header %s = %q, want %q", h, got, want)
@@ -134,7 +141,8 @@ func TestForwarderDeadPeerBackoff(t *testing.T) {
 	fwd := func() error {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil)
-		return f.Forward(rec, req, dead)
+		_, err := f.Forward(rec, req, dead)
+		return err
 	}
 	for i := 0; i < 3; i++ {
 		if err := fwd(); err == nil || err == errPeerDown {
@@ -179,13 +187,43 @@ func TestForwarderServerErrorCountsAsFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	if err := f.Forward(rec, httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil), backend.URL); err != nil {
+	etag, err := f.Forward(rec, httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil), backend.URL)
+	if err != nil {
 		t.Fatalf("Forward: %v", err)
+	}
+	if etag != "" {
+		t.Fatalf("Forward handed back %q from a 500; only a 200 or 304 carries a validator", etag)
 	}
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("relayed status %d, want 500", rec.Code)
 	}
 	if m := f.Metrics(); m.Peers[0].Failures != 1 || m.Peers[0].Forwards != 0 {
 		t.Fatalf("metrics after 5xx: %+v", m)
+	}
+}
+
+// TestForwarderTruncatedBody: once the owner's status line is relayed, a
+// body cut short is not an error the caller could fall back on — serving
+// locally would write a second response — and its ETag is not handed
+// back as a validator.
+func TestForwarderTruncatedBody(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", `"abc-j"`)
+		w.Header().Set("Content-Length", "100")
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte("short")) //nolint:errcheck // test backend
+	}))
+	defer backend.Close()
+	f, err := NewForwarder(Config{Self: "http://self", Peers: []string{"http://self", backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	etag, err := f.Forward(rec, httptest.NewRequest(http.MethodGet, "/schedule?n=9&D=2", nil), backend.URL)
+	if err != nil || etag != "" {
+		t.Fatalf("Forward = %q, %v; want no validator and no error after the status went out", etag, err)
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != "100" {
+		t.Fatalf("relayed %d with Content-Length %q", rec.Code, rec.Header().Get("Content-Length"))
 	}
 }
