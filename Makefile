@@ -58,11 +58,14 @@ race:
 # The concurrent subsystems get a named race gate of their own: `race`
 # already covers them, but this target keeps them explicit in `make check`
 # output and gives a fast local loop (`make race-conc`) when touching the
-# engine, the caches, or the serving tier's forwarding and validator
-# table. The concurrent-revalidation test runs ten times over.
+# engine, the caches, the serving tier's forwarding and validator table,
+# or a schedule's node views, which the first reader derives. The
+# concurrent-revalidation and concurrent-first-use tests run ten times
+# over.
 race-conc:
-	$(GO) test -race ./internal/engine ./internal/schedcache ./internal/serve ./internal/shard
+	$(GO) test -race ./internal/core ./internal/engine ./internal/schedcache ./internal/serve ./internal/shard
 	$(GO) test -race -count=10 -run TestConcurrentRevalidations ./internal/serve
+	$(GO) test -race -count=10 -run TestNodeViewsConcurrentFirstUse ./internal/core
 
 # The struct-of-arrays simulator fast path shares pooled scratch and
 # immutable kernels across the engine worker pool; this gate runs the
@@ -96,14 +99,16 @@ fuzz:
 
 # Benchmarks with -benchmem, captured as the machine-readable perf
 # trajectory: BENCH_engine.json (serial-vs-parallel Workers1/WorkersMax
-# pairs for the sweep and campaign engines) and BENCH_core.json (naive-vs-
-# prefix-cached kernel pairs for the Requirement/throughput verifiers).
+# pairs for the sweep and campaign engines, cold schedule builds, and the
+# serving tier's cold artifact pass over the ring lattice) and
+# BENCH_core.json (naive-vs-prefix-cached kernel pairs for the
+# Requirement/throughput verifiers).
 # Time-based -benchtime: fixed tiny iteration counts (3x) made the
 # Workers1/WorkersMax ratio a noise measurement — one GC pause in a
 # 3-iteration run moved the pair by ±20%. Non-gating: runs alongside
 # `make check`, not inside it.
 bench: lint-bench bench-serve
-	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/engine ./internal/schedcache \
+	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/engine ./internal/schedcache ./internal/serve \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_engine.json
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/core \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_core.json

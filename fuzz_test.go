@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzDecodeSchedule hardens the JSON entry point: arbitrary bytes must
-// never panic, and anything that decodes must re-encode and decode to an
-// identical schedule. (Run with `go test -fuzz FuzzDecodeSchedule` to
+// never panic, anything that decodes must re-encode and decode to an
+// identical schedule, and the re-encoding must be byte for byte the
+// reflection oracle's. (Run with `go test -fuzz FuzzDecodeSchedule` to
 // explore; the seed corpus runs in normal `go test`.)
 func FuzzDecodeSchedule(f *testing.F) {
 	good, err := ttdc.TDMA(4)
@@ -40,13 +41,15 @@ func FuzzDecodeSchedule(f *testing.F) {
 	f.Add(`{`)
 	f.Add(``)
 	f.Add(`{"n":1000000,"t":[],"r":[]}`)
-	f.Add(`{"n":1048577,"t":[[]],"r":[[]]}`)    // n > maxDecodedDimension
-	f.Add(`{"n":2,"t":[[]],"r":[[],[],[],[]]}`) // R longer than T
+	f.Add(`{"n":1048577,"t":[[]],"r":[[]]}`)                     // n > maxDecodedDimension
+	f.Add(`{"n":2,"t":[[]],"r":[[],[],[],[]]}`)                  // R longer than T
+	f.Add(`{"n":1001,"t":[[63,64,1000],[]],"r":[[0,65],[999]]}`) // word boundaries, 4-digit ids, an empty slot
 	f.Fuzz(func(t *testing.T, data string) {
 		s, err := ttdc.DecodeSchedule(strings.NewReader(data))
 		if err != nil {
 			return
 		}
+		checkJSONEncoders(t, "decoded", s)
 		// Round trip must be stable.
 		var out bytes.Buffer
 		if err := ttdc.EncodeSchedule(&out, s); err != nil {

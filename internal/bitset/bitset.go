@@ -15,6 +15,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -480,16 +481,17 @@ func (s *Set) Max() int {
 // String renders the set as "{a, b, c}".
 func (s *Set) String() string {
 	var b strings.Builder
+	var num [20]byte
 	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) bool {
-		if !first {
-			b.WriteString(", ")
+	for wi, w := range s.words {
+		for w != 0 {
+			if b.Len() > 1 {
+				b.WriteString(", ")
+			}
+			b.Write(strconv.AppendInt(num[:0], int64(wi*wordBits+bits.TrailingZeros64(w)), 10))
+			w &= w - 1
 		}
-		first = false
-		fmt.Fprintf(&b, "%d", i)
-		return true
-	})
+	}
 	b.WriteByte('}')
 	return b.String()
 }

@@ -90,7 +90,10 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 	}
 
 	div := newDivider(n, opts.Strategy)
-	var outT, outR []*bitset.Set
+	// Theorem 7's closed-form frame length sizes the output slot lists.
+	frame := ConstructedFrameLength(ns, sizeT, opts.AlphaR)
+	outT := make([]*bitset.Set, 0, frame)
+	outR := make([]*bitset.Set, 0, frame)
 	var tElems, rElems []int // reused: a slot's subsets are built before the next slot
 	for i := 0; i < ns.L(); i++ {
 		tElems = ns.t[i].AppendElements(tElems[:0])

@@ -21,6 +21,7 @@ import (
 // CheckRequirement1: Θ(C(n-1, D)·D·L/64) per node.
 func checkRequirement1Naive(s *Schedule, d int) *Witness {
 	validateD(s.n, d)
+	tran, _ := s.views()
 	var found *Witness
 	others := make([]int, 0, s.n-1)
 	fs := bitset.New(s.L())
@@ -32,9 +33,9 @@ func checkRequirement1Naive(s *Schedule, d int) *Witness {
 			}
 		}
 		combin.CombinationsOf(others, d, func(y []int) bool {
-			fs.Copy(s.tran[x])
+			fs.Copy(tran[x])
 			for _, v := range y {
-				fs.DifferenceWith(s.tran[v])
+				fs.DifferenceWith(tran[v])
 			}
 			if fs.Empty() {
 				found = &Witness{X: x, Y: append([]int(nil), y...), K: -1}
@@ -69,19 +70,20 @@ func checkRequirement3NodeNaive(s *Schedule, d, x int) *Witness {
 			others = append(others, v)
 		}
 	}
+	tran, recv := s.views()
 	fs := bitset.New(s.L())
 	var found *Witness
 	combin.CombinationsOf(others, d, func(y []int) bool {
-		fs.Copy(s.tran[x])
+		fs.Copy(tran[x])
 		for _, v := range y {
-			fs.DifferenceWith(s.tran[v])
+			fs.DifferenceWith(tran[v])
 		}
 		if fs.Empty() {
 			found = &Witness{X: x, Y: append([]int(nil), y...), K: -1}
 			return false
 		}
 		for k, v := range y {
-			if !s.recv[v].Intersects(fs) {
+			if !recv[v].Intersects(fs) {
 				found = &Witness{X: x, Y: append([]int(nil), y...), K: k}
 				return false
 			}

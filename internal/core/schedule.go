@@ -13,6 +13,9 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -26,11 +29,15 @@ type Schedule struct {
 	n int
 	t []*bitset.Set // per slot, capacity n; slots may share a set
 	r []*bitset.Set
-	// Per-node slot sets (capacity L), precomputed for the checkers:
+	// Per-node slot sets (capacity L) for the checkers and simulators:
 	// tran[x] = {i : x ∈ T[i]}, recv[x] = {i : x ∈ R[i]}. Each family is
-	// one block transpose of the slot sets, backed by a single slab.
-	tran []*bitset.Set
-	recv []*bitset.Set
+	// one block transpose of the slot sets, backed by a single slab. Both
+	// are derived together on first read (see views): constructing,
+	// encoding and the Theorem 2 closed form read only the slot sets, so
+	// a schedule that is built and served never pays for them.
+	viewsOnce sync.Once
+	tran      []*bitset.Set
+	recv      []*bitset.Set
 }
 
 // New builds a schedule from explicit per-slot transmitter and receiver
@@ -111,14 +118,24 @@ func cloneSets(sets []*bitset.Set) []*bitset.Set {
 	return out
 }
 
-// newSchedule takes ownership of validated slot sets and derives the
-// per-node views from them.
+// newSchedule takes ownership of validated slot sets. The per-node views
+// are left for views to derive on first read.
 func newSchedule(n int, t, r []*bitset.Set) *Schedule {
-	return &Schedule{
-		n: n, t: t, r: r,
-		tran: bitset.Transpose(t, n),
-		recv: bitset.Transpose(r, n),
-	}
+	return &Schedule{n: n, t: t, r: r}
+}
+
+// views returns the per-node view families tran and recv, transposing the
+// slot sets on the first call. Every reader of the views inside the
+// package goes through here, so the schedule stays immutable from the
+// outside and safe for concurrent use.
+func (s *Schedule) views() (tran, recv []*bitset.Set) {
+	s.viewsOnce.Do(s.deriveViews)
+	return s.tran, s.recv
+}
+
+func (s *Schedule) deriveViews() {
+	s.tran = bitset.Transpose(s.t, s.n)
+	s.recv = bitset.Transpose(s.r, s.n)
 }
 
 // NonSleeping builds the schedule ⟨T⟩ in which every node not transmitting
@@ -206,11 +223,17 @@ func (s *Schedule) R(i int) *bitset.Set { return s.r[i] }
 
 // Tran returns tran(x): the set of slots in which node x may transmit.
 // The returned set must not be modified.
-func (s *Schedule) Tran(x int) *bitset.Set { return s.tran[x] }
+func (s *Schedule) Tran(x int) *bitset.Set {
+	tran, _ := s.views()
+	return tran[x]
+}
 
 // Recv returns recv(x): the set of slots in which node x may receive.
 // The returned set must not be modified.
-func (s *Schedule) Recv(x int) *bitset.Set { return s.recv[x] }
+func (s *Schedule) Recv(x int) *bitset.Set {
+	_, recv := s.views()
+	return recv[x]
+}
 
 // IsNonSleeping reports whether T[i] ∪ R[i] = V_n in every slot.
 func (s *Schedule) IsNonSleeping() bool {
@@ -269,12 +292,13 @@ func (s *Schedule) MaxReceivers() int {
 // FreeSlots returns freeSlots(x, Y) = tran(x) - ∪_{y∈Y} tran(y): the slots
 // in which x transmits and no node of Y does. Y must not contain x.
 func (s *Schedule) FreeSlots(x int, y []int) *bitset.Set {
-	fs := s.tran[x].Clone()
+	tran, _ := s.views()
+	fs := tran[x].Clone()
 	for _, v := range y {
 		if v == x {
 			panic("core: FreeSlots with x ∈ Y")
 		}
-		fs.DifferenceWith(s.tran[v])
+		fs.DifferenceWith(tran[v])
 	}
 	return fs
 }
@@ -282,22 +306,24 @@ func (s *Schedule) FreeSlots(x int, y []int) *bitset.Set {
 // Sigma returns σ(a, b) = tran(a) ∩ recv(b): the slots in which a
 // transmission from a can be heard by b (collisions aside).
 func (s *Schedule) Sigma(a, b int) *bitset.Set {
-	return bitset.Intersect(s.tran[a], s.recv[b])
+	tran, recv := s.views()
+	return bitset.Intersect(tran[a], recv[b])
 }
 
 // TSlots returns 𝒯(x, y, S) = recv(y) ∩ freeSlots(x, {y} ∪ S): the slots in
 // which a transmission from x to y is guaranteed to succeed when y's other
 // neighbours are exactly S. Neither x nor y may appear in S.
 func (s *Schedule) TSlots(x, y int, set []int) *bitset.Set {
-	fs := s.tran[x].Clone()
-	fs.DifferenceWith(s.tran[y])
+	tran, recv := s.views()
+	fs := tran[x].Clone()
+	fs.DifferenceWith(tran[y])
 	for _, v := range set {
 		if v == x || v == y {
 			panic("core: TSlots with x or y in S")
 		}
-		fs.DifferenceWith(s.tran[v])
+		fs.DifferenceWith(tran[v])
 	}
-	fs.IntersectWith(s.recv[y])
+	fs.IntersectWith(recv[y])
 	return fs
 }
 
@@ -315,7 +341,8 @@ func (s *Schedule) ActiveFraction() float64 {
 
 // DutyCycle returns the fraction of slots in which node x is active.
 func (s *Schedule) DutyCycle(x int) float64 {
-	return float64(s.tran[x].Count()+s.recv[x].Count()) / float64(len(s.t))
+	tran, recv := s.views()
+	return float64(tran[x].Count()+recv[x].Count()) / float64(len(s.t))
 }
 
 // Role describes what a node is scheduled to do in a slot.
@@ -367,11 +394,28 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// String renders a compact textual form of the schedule.
+// String renders a compact textual form of the schedule, one line per
+// slot, built in a single pass into one buffer sized up front: each
+// element takes at most len(n) digits plus its ", " separator, and 32
+// bytes cover a line's fixed text.
 func (s *Schedule) String() string {
-	out := fmt.Sprintf("schedule n=%d L=%d", s.n, len(s.t))
+	var b strings.Builder
+	size, digits := 32, len(strconv.Itoa(s.n))
 	for i := range s.t {
-		out += fmt.Sprintf("\n  slot %d: T=%s R=%s", i, s.t[i], s.r[i])
+		size += 32 + (s.t[i].Count()+s.r[i].Count())*(digits+2)
 	}
-	return out
+	b.Grow(size)
+	b.WriteString("schedule n=")
+	b.WriteString(strconv.Itoa(s.n))
+	b.WriteString(" L=")
+	b.WriteString(strconv.Itoa(len(s.t)))
+	for i := range s.t {
+		b.WriteString("\n  slot ")
+		b.WriteString(strconv.Itoa(i))
+		b.WriteString(": T=")
+		b.WriteString(s.t[i].String())
+		b.WriteString(" R=")
+		b.WriteString(s.r[i].String())
+	}
+	return b.String()
 }

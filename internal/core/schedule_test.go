@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -221,6 +222,96 @@ func TestTranRecvViewsConstruct(t *testing.T) {
 	}
 }
 
+// viewsDerived reports whether s has transposed its slot sets into node
+// views yet.
+func viewsDerived(s *Schedule) bool { return s.tran != nil || s.recv != nil }
+
+// TestMissPathLeavesViewsUnderived pins what the serving tier's cold path
+// reads: building a base, running Construct on it and taking the Theorem 2
+// closed form, the active fraction and the slot sets must leave both
+// schedules' node views underived.
+func TestMissPathLeavesViewsUnderived(t *testing.T) {
+	base := polySchedule(t, 25, 2)
+	out, err := Construct(base, ConstructOptions{AlphaT: 3, AlphaR: 5, D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Schedule{base, out} {
+		_ = s.N() + s.L()
+		for i := 0; i < s.L(); i++ {
+			_ = s.T(i).Count() + s.R(i).Count()
+		}
+		_ = s.ActiveFraction()
+		_ = s.IsNonSleeping()
+		_ = AvgThroughput(s, 2)
+	}
+	if viewsDerived(base) || viewsDerived(out) {
+		t.Fatalf("node views derived on the miss path: base %v, Construct output %v", viewsDerived(base), viewsDerived(out))
+	}
+	// The first reader derives them.
+	_ = out.Tran(0)
+	if !viewsDerived(out) || viewsDerived(base) {
+		t.Fatalf("Tran derived views: base %v, output %v; want only the output's", viewsDerived(base), viewsDerived(out))
+	}
+}
+
+// TestNodeViewsConcurrentFirstUse races the first readers of a fresh
+// schedule's node views: 16 goroutines start together on Tran, Recv,
+// TSlots and NewVerifier, and the views they leave must be the bit-by-bit
+// transpose. make race-conc runs it ten times under the race detector.
+func TestNodeViewsConcurrentFirstUse(t *testing.T) {
+	s, err := Construct(polySchedule(t, 65, 2), ConstructOptions{AlphaT: 4, AlphaR: 60, D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viewsDerived(s) {
+		t.Fatal("views derived before the first read")
+	}
+	start := make(chan struct{})
+	counts := make([]int, 16)
+	var wg sync.WaitGroup
+	for g := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			x := g % s.N()
+			switch g % 4 {
+			case 0:
+				counts[g] = s.Tran(x).Count()
+			case 1:
+				counts[g] = s.Recv(x).Count()
+			case 2:
+				counts[g] = s.TSlots(x, (x+1)%s.N(), nil).Count()
+			default:
+				if NewVerifier(s, 2).Requirement3() == nil {
+					counts[g] = 1
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	checkNodeViews(t, "concurrent first use", s)
+	for g, c := range counts {
+		x := g % s.N()
+		var want int
+		switch g % 4 {
+		case 0:
+			want = s.Tran(x).Count()
+		case 1:
+			want = s.Recv(x).Count()
+		case 2:
+			want = s.TSlots(x, (x+1)%s.N(), nil).Count()
+		default:
+			want = 1 // Construct preserves topology transparency (Theorem 6)
+		}
+		if c != want {
+			t.Fatalf("goroutine %d read %d, want %d", g, c, want)
+		}
+	}
+}
+
 // TestFromSetsClones pins FromSets' copy: changing the caller's sets after
 // the call leaves the schedule, and its node views, unchanged.
 func TestFromSetsClones(t *testing.T) {
@@ -374,13 +465,62 @@ func TestCloneIsDeepAndEqualBehaviour(t *testing.T) {
 	}
 }
 
+// TestStringRendering pins the exact text form: a slot with an empty
+// receiver set, and a Construct output whose receiver subsets line 8 pads
+// (the text was recorded from the per-slot Sprintf renderer).
 func TestStringRendering(t *testing.T) {
-	s, err := New(3, [][]int{{0}}, [][]int{{1, 2}})
+	s, err := New(3, [][]int{{0}, {}}, [][]int{{1, 2}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := s.String(), "schedule n=3 L=2\n  slot 0: T={0} R={1, 2}\n  slot 1: T={} R={}"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	c, err := Construct(polySchedule(t, 9, 2), ConstructOptions{AlphaT: 2, AlphaR: 7, D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const padded = `schedule n=9 L=18
+  slot 0: T={0, 3} R={1, 2, 4, 5, 6, 7, 8}
+  slot 1: T={3, 6} R={0, 1, 2, 4, 5, 7, 8}
+  slot 2: T={1, 4} R={0, 2, 3, 5, 6, 7, 8}
+  slot 3: T={4, 7} R={0, 1, 2, 3, 5, 6, 8}
+  slot 4: T={2, 5} R={0, 1, 3, 4, 6, 7, 8}
+  slot 5: T={5, 8} R={0, 1, 2, 3, 4, 6, 7}
+  slot 6: T={0, 5} R={1, 2, 3, 4, 6, 7, 8}
+  slot 7: T={5, 7} R={0, 1, 2, 3, 4, 6, 8}
+  slot 8: T={1, 3} R={0, 2, 4, 5, 6, 7, 8}
+  slot 9: T={3, 8} R={0, 1, 2, 4, 5, 6, 7}
+  slot 10: T={2, 4} R={0, 1, 3, 5, 6, 7, 8}
+  slot 11: T={4, 6} R={0, 1, 2, 3, 5, 7, 8}
+  slot 12: T={0, 4} R={1, 2, 3, 5, 6, 7, 8}
+  slot 13: T={4, 8} R={0, 1, 2, 3, 5, 6, 7}
+  slot 14: T={1, 5} R={0, 2, 3, 4, 6, 7, 8}
+  slot 15: T={5, 6} R={0, 1, 2, 3, 4, 7, 8}
+  slot 16: T={2, 3} R={0, 1, 4, 5, 6, 7, 8}
+  slot 17: T={3, 7} R={0, 1, 2, 4, 5, 6, 8}`
+	if got := c.String(); got != padded {
+		t.Fatalf("String of the padded Construct output =\n%s\nwant\n%s", got, padded)
+	}
+}
+
+// TestStringLinear bounds the text renderer's allocation on a large
+// Construct output: everything String allocates must stay under 8× the
+// text it returns. Concatenating per slot allocated quadratically (2.8 s
+// for this schedule).
+func TestStringLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an n=1000 schedule")
+	}
+	s, err := Construct(polySchedule(t, 1000, 3), ConstructOptions{AlphaT: 20, AlphaR: 120, D: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	out := s.String()
-	if !strings.Contains(out, "n=3") || !strings.Contains(out, "slot 0") {
-		t.Fatalf("String = %q", out)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8*uint64(len(out)) {
+		t.Fatalf("String allocated %d bytes for %d bytes of text (L = %d), want < 8×", alloc, len(out), s.L())
 	}
 }

@@ -39,28 +39,32 @@ func AvgThroughputBruteForce(s *Schedule, d int) *big.Rat {
 // A slot's term depends only on its shape (|T[i]|, |R[i]|), and a
 // Construct output has a handful of shapes, so the slots are counted per
 // shape and each shape adds count·|T|·|R|·C(n-|T|-1, D-1) once: Θ(L)
-// popcounts and Θ(shapes) big-integer operations.
+// popcounts and Θ(shapes) big-integer operations. With so few shapes a
+// linear scan of the counted ones beats hashing every slot's shape.
 func AvgThroughput(s *Schedule, d int) *big.Rat {
 	validateD(s.n, d)
-	type shape struct{ t, r int }
+	type shape struct{ t, r, slots int }
 	var shapes []shape // first-seen order, so the sum is built in a fixed order
-	slots := make(map[shape]int)
 	for i := 0; i < s.L(); i++ {
-		sh := shape{s.t[i].Count(), s.r[i].Count()}
-		if sh.t == 0 || sh.r == 0 {
+		t, r := s.t[i].Count(), s.r[i].Count()
+		if t == 0 || r == 0 {
 			continue
 		}
-		if slots[sh] == 0 {
-			shapes = append(shapes, sh)
+		j := 0
+		for j < len(shapes) && (shapes[j].t != t || shapes[j].r != r) {
+			j++
 		}
-		slots[sh]++
+		if j == len(shapes) {
+			shapes = append(shapes, shape{t: t, r: r})
+		}
+		shapes[j].slots++
 	}
 	num := new(big.Int)
 	term := new(big.Int)
 	count := new(big.Int)
 	for _, sh := range shapes {
 		term.SetInt64(int64(sh.t) * int64(sh.r))
-		term.Mul(term, count.SetInt64(int64(slots[sh])))
+		term.Mul(term, count.SetInt64(int64(sh.slots)))
 		term.Mul(term, combin.Binomial(s.n-sh.t-1, d-1))
 		num.Add(num, term)
 	}

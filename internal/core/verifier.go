@@ -38,10 +38,11 @@ type Verifier struct {
 	enum   combin.Enumerator
 	others []int // V_n - {x} (or - {x, y}), rebuilt per node/pair
 
-	// Read-only word views of the schedule's per-node slot sets, hoisted
-	// once so leaf scans touch no method calls.
-	tranW [][]uint64
-	recvW [][]uint64
+	// The schedule's per-node slot sets, read once through its views
+	// accessor, and their read-only word views, hoisted so leaf scans
+	// touch no method calls.
+	tran, recv   []*bitset.Set
+	tranW, recvW [][]uint64
 
 	// free[t] is the free-slot set after t prefix extensions; free[0] is
 	// the walk's base (tran(x), or tran(x) \ tran(y) for throughput scans).
@@ -109,12 +110,13 @@ func NewVerifier(s *Schedule, d int) *Verifier {
 	validateD(s.n, d)
 	L := s.L()
 	v := &Verifier{s: s, d: d}
+	v.tran, v.recv = s.views()
 	v.others = make([]int, 0, s.n-1)
 	v.tranW = make([][]uint64, s.n)
 	v.recvW = make([][]uint64, s.n)
 	for x := 0; x < s.n; x++ {
-		v.tranW[x] = s.tran[x].Words()
-		v.recvW[x] = s.recv[x].Words()
+		v.tranW[x] = v.tran[x].Words()
+		v.recvW[x] = v.recv[x].Words()
 	}
 	v.free = make([]*bitset.Set, d)
 	v.freeW = make([][]uint64, d)
@@ -205,15 +207,15 @@ func (v *Verifier) leafSubset(prefix []int, pos int) []int {
 // kernel does, returning its witness (or nil if yv satisfies Requirement 3
 // for transmitter v.x). It takes ownership of yv.
 func (v *Verifier) evalReq3(yv []int) *Witness {
-	v.fsSet.Copy(v.s.tran[v.x])
+	v.fsSet.Copy(v.tran[v.x])
 	for _, u := range yv {
-		v.fsSet.DifferenceWith(v.s.tran[u])
+		v.fsSet.DifferenceWith(v.tran[u])
 	}
 	if v.fsSet.Empty() {
 		return &Witness{X: v.x, Y: yv, K: -1}
 	}
 	for k, u := range yv {
-		if !v.s.recv[u].Intersects(v.fsSet) {
+		if !v.recv[u].Intersects(v.fsSet) {
 			return &Witness{X: v.x, Y: yv, K: k}
 		}
 	}
@@ -263,14 +265,14 @@ func (v *Verifier) Requirement1Node(x int) *Witness {
 		v.req1Leaves(v.tranW[x], nil, 0)
 		return v.witness
 	}
-	v.free[0].Copy(v.s.tran[x])
+	v.free[0].Copy(v.tran[x])
 	v.enum.WalkKSubsets(len(v.others), v.d, v.visitReq1)
 	return v.witness
 }
 
 func (v *Verifier) stepReq1(prefix []int) combin.WalkControl {
 	t := len(prefix)
-	if v.free[t].CopyThenDifference(v.free[t-1], v.s.tran[v.others[prefix[t-1]]]) {
+	if v.free[t].CopyThenDifference(v.free[t-1], v.tran[v.others[prefix[t-1]]]) {
 		// No free slot left at depth t: every completion has an empty
 		// free-slot set, and Requirement 1 only tests condition (1), so
 		// the first completion with K = -1 is the naive witness.
@@ -337,14 +339,14 @@ func (v *Verifier) Requirement3Node(x int) *Witness {
 		v.req3Leaves(v.tranW[x], nil, 0)
 		return v.witness
 	}
-	v.free[0].Copy(v.s.tran[x])
+	v.free[0].Copy(v.tran[x])
 	v.enum.WalkKSubsets(len(v.others), v.d, v.visitReq3)
 	return v.witness
 }
 
 func (v *Verifier) stepReq3(prefix []int) combin.WalkControl {
 	t := len(prefix)
-	if v.free[t].CopyThenDifference(v.free[t-1], v.s.tran[v.others[prefix[t-1]]]) {
+	if v.free[t].CopyThenDifference(v.free[t-1], v.tran[v.others[prefix[t-1]]]) {
 		v.witness = v.prunedReq3Witness(prefix)
 		return combin.WalkStop
 	}
@@ -474,8 +476,8 @@ func (v *Verifier) Requirement2() *Req2Witness {
 				}
 				continue
 			}
-			v.sigma.Copy(v.s.tran[x])
-			v.sigma.IntersectWith(v.s.recv[y])
+			v.sigma.Copy(v.tran[x])
+			v.sigma.IntersectWith(v.recv[y])
 			if k == 0 {
 				// The empty interferer set covers σ(x, y) iff σ(x, y) = ∅.
 				if v.sigma.Empty() {
@@ -587,7 +589,7 @@ func (v *Verifier) minThroughputNode(x int) int {
 		}
 		if v.k == 0 {
 			// D == 1: S = ∅, so |𝒯| = |(tran(x) \ tran(y)) ∩ recv(y)|.
-			c := v.s.tran[x].DifferenceIntersectionCount(v.s.tran[y], v.s.recv[y])
+			c := v.tran[x].DifferenceIntersectionCount(v.tran[y], v.recv[y])
 			if v.minSlots < 0 || c < v.minSlots {
 				v.minSlots = c
 			}
@@ -610,8 +612,8 @@ func (v *Verifier) minThroughputNode(x int) int {
 			v.y = y
 			v.recvYW = v.recvW[y]
 			v.buildOthers(x, y)
-			empty := v.free[0].CopyThenDifference(v.s.tran[x], v.s.tran[y])
-			if empty || !v.free[0].Intersects(v.s.recv[y]) {
+			empty := v.free[0].CopyThenDifference(v.tran[x], v.tran[y])
+			if empty || !v.free[0].Intersects(v.recv[y]) {
 				// The base already misses recv(y): every completion of
 				// every S scores 0.
 				v.minSlots = 0
@@ -732,7 +734,7 @@ func (v *Verifier) avgThroughputNumerator() *big.Int {
 			}
 			v.pairSum = 0
 			if v.k == 0 {
-				v.pairSum = int64(v.s.tran[x].DifferenceIntersectionCount(v.s.tran[y], v.s.recv[y]))
+				v.pairSum = int64(v.tran[x].DifferenceIntersectionCount(v.tran[y], v.recv[y]))
 			} else if v.w1 {
 				v.y = y
 				v.recvY1 = v.recv1[y]
@@ -750,8 +752,8 @@ func (v *Verifier) avgThroughputNumerator() *big.Int {
 				v.y = y
 				v.recvYW = v.recvW[y]
 				v.buildOthers(x, y)
-				empty := v.free[0].CopyThenDifference(v.s.tran[x], v.s.tran[y])
-				if !empty && v.free[0].Intersects(v.s.recv[y]) {
+				empty := v.free[0].CopyThenDifference(v.tran[x], v.tran[y])
+				if !empty && v.free[0].Intersects(v.recv[y]) {
 					if v.k == 1 {
 						v.avgLeaves(v.freeW[0], 0)
 					} else {

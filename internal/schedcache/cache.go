@@ -319,6 +319,9 @@ func (c *Cache) insertLocked(k Key, s *core.Schedule) {
 // ScheduleBytes estimates the resident footprint of one cached schedule:
 // the 2L per-slot bitsets over n nodes, the 2n per-node bitsets over L
 // slots, and a fixed per-set overhead (struct + slice header + pointer).
+// The per-node views are derived only when something first reads them
+// (a served schedule never does), so for such a schedule this is an
+// upper bound.
 // It is an estimate — Go rounds allocations to size classes — but it is
 // monotone in n×L, which is what budget decisions need.
 func ScheduleBytes(s *core.Schedule) int64 {

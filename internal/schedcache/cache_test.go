@@ -347,9 +347,10 @@ func BenchmarkBuildCold(b *testing.B) {
 }
 
 // BenchmarkBuildColdCampaign is BuildCold at the size of one saturation
-// class of the campaign benchmark: the polynomial base for N(8400, 3),
-// Construct's (250, 2000)-schedule over it (L = 1936), and both
-// schedules' per-node views.
+// class of the campaign benchmark: the polynomial base for N(8400, 3) and
+// Construct's (250, 2000)-schedule over it (L = 1936). Neither schedule's
+// per-node views are derived; the campaign's saturation kernel pays for
+// the output's on first read.
 func BenchmarkBuildColdCampaign(b *testing.B) {
 	k := Key{N: 8400, D: 3, AlphaT: 250, AlphaR: 2000}
 	b.ReportAllocs()

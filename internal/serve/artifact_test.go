@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/schedcache"
 )
 
@@ -65,5 +66,50 @@ func TestArtifactCacheByteBudget(t *testing.T) {
 	}
 	if st := tiny.ArtifactStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversized artifact stayed resident: %+v", st)
+	}
+}
+
+// ringLattice returns the ring benchmark's key universe (_perfbench's
+// ringUniverseFor, unshuffled): every key of a lattice of small classes
+// and duty caps that a fresh service builds within 40000 node-slots.
+func ringLattice(tb testing.TB) []schedcache.Key {
+	tb.Helper()
+	var keys []schedcache.Key
+	for _, n := range []int{9, 12, 16, 20, 25, 30, 36, 49, 64} {
+		for _, d := range []int{2, 3} {
+			for at := 1; at <= 4; at++ {
+				for _, mul := range []int{1, 2, 3} {
+					for _, st := range []core.DivisionStrategy{core.Sequential, core.Balanced} {
+						k := schedcache.Key{N: n, D: d, AlphaT: at, AlphaR: at * mul, Strategy: st}
+						a, _, err := NewService(1).Artifact(k)
+						if err != nil || k.N*a.Frame.Schedule.L() > 40000 {
+							continue
+						}
+						keys = append(keys, k)
+					}
+				}
+			}
+		}
+	}
+	if len(keys) != 304 {
+		tb.Fatalf("ring lattice has %d keys, want 304", len(keys))
+	}
+	return keys
+}
+
+// BenchmarkArtifactCold is the ring's cold miss path, one pass over its
+// 304-key lattice per iteration: each key goes to a fresh service, so
+// every Artifact call builds the base, runs Construct, takes the
+// Theorem 2 closed form and appends both encodings.
+func BenchmarkArtifactCold(b *testing.B) {
+	keys := ringLattice(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			if _, _, err := NewService(1).Artifact(k); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

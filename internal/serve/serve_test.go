@@ -16,6 +16,13 @@ import (
 	"repro/internal/wire"
 )
 
+// scheduleResponse decodes a JSON /schedule document: the embedded
+// schedule and the fields buildArtifact appends after it.
+type scheduleResponse struct {
+	Schedule json.RawMessage `json:"schedule"`
+	scheduleFields
+}
+
 func get(t *testing.T, h http.Handler, path string) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()

@@ -12,7 +12,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -25,14 +24,13 @@ import (
 	"repro/internal/wire"
 )
 
-// scheduleResponse is the JSON /schedule payload: the EncodeSchedule wire
-// format embedded verbatim, plus the analysis figures a node (or an
-// operator) wants alongside it. The binary representation carries the
-// same information as a wire.Frame.
-type scheduleResponse struct {
-	// Schedule is the exact EncodeSchedule JSON document
-	// ({"n":..., "t":[[...]], "r":[[...]]}); DecodeSchedule accepts it.
-	Schedule json.RawMessage `json:"schedule"`
+// scheduleFields are the JSON /schedule payload's fields after the
+// schedule: the request echo and the analysis figures a node (or an
+// operator) wants alongside it. The payload is
+// {"schedule":<AppendScheduleJSON document>,<these fields>} — the schedule
+// document embedded verbatim, so DecodeSchedule accepts it. The binary
+// representation carries the same information as a wire.Frame.
+type scheduleFields struct {
 	// Request echo.
 	N        int    `json:"n"`
 	D        int    `json:"d"`
@@ -53,8 +51,8 @@ type Artifact struct {
 	Frame *wire.Frame
 	// Wire is the binary frame (wire.Encode output).
 	Wire []byte
-	// JSON is the scheduleResponse document, newline-terminated exactly
-	// as the streaming encoder used to produce it.
+	// JSON is the newline-terminated /schedule document: the schedule
+	// followed by the scheduleFields.
 	JSON []byte
 	// Digest is the 128-bit hex content digest of Wire; the HTTP layer
 	// derives the per-representation ETag from it.
@@ -231,7 +229,10 @@ func (s *Service) Schedule(k schedcache.Key) (*core.Schedule, error) {
 	return a.Frame.Schedule, nil
 }
 
-// buildArtifact encodes both representations and the content digest.
+// buildArtifact encodes both representations and the content digest. The
+// JSON document is appended in one pass: the schedule straight from its
+// slot words, then the fixed fields, which encoding/json marshals so
+// their number and string formatting is the standard library's.
 func buildArtifact(k schedcache.Key, sched *core.Schedule) (*Artifact, error) {
 	frame := &wire.Frame{
 		N: k.N, D: k.D, AlphaT: k.AlphaT, AlphaR: k.AlphaR, Strategy: k.Strategy,
@@ -243,12 +244,7 @@ func buildArtifact(k schedcache.Key, sched *core.Schedule) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sj bytes.Buffer
-	if err := ttdc.EncodeSchedule(&sj, sched); err != nil {
-		return nil, err
-	}
-	doc := scheduleResponse{
-		Schedule:           json.RawMessage(bytes.TrimSpace(sj.Bytes())),
+	fields, err := json.Marshal(scheduleFields{
 		N:                  k.N,
 		D:                  k.D,
 		AlphaT:             k.AlphaT,
@@ -258,11 +254,17 @@ func buildArtifact(k schedcache.Key, sched *core.Schedule) (*Artifact, error) {
 		ActiveFraction:     frame.ActiveFraction,
 		AvgThroughput:      frame.AvgThroughput.RatString(),
 		AvgThroughputFloat: ttdc.RatFloat(frame.AvgThroughput),
-	}
-	jsonBytes, err := json.Marshal(doc)
+	})
 	if err != nil {
 		return nil, err
 	}
+	// The buffer starts with room for everything around the schedule, which
+	// AppendScheduleJSON keeps free past the document it appends.
+	const open = `{"schedule":`
+	jsonBytes := append(make([]byte, 0, len(open)+len(fields)+1), open...)
+	jsonBytes = ttdc.AppendScheduleJSON(jsonBytes, sched)
+	jsonBytes = append(jsonBytes, ',')
+	jsonBytes = append(jsonBytes, fields[1:]...) // the ',' stands in for the fields' own '{'
 	jsonBytes = append(jsonBytes, '\n')
 	return &Artifact{
 		Key:    k,

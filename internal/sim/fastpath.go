@@ -69,9 +69,9 @@ func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, 
 }
 
 // SaturationKernel is the topology-independent precomputation of the
-// saturation fast path: per-node transmit-slot words, receive-role slot
-// words (recv \ tran — RoleOf gives Transmit precedence), and the per-frame
-// role census. A kernel is a pure function of (schedule, n); it is immutable
+// saturation fast path: per-node transmit-slot and receive-slot words,
+// both read in place from the schedule's node views, and the per-frame role
+// census. A kernel is a pure function of (schedule, n); it is immutable
 // after construction and safe for concurrent Run calls, so a campaign can
 // build it once per grid point and share it across every replication's
 // topology on the engine worker pool.
@@ -80,13 +80,13 @@ type SaturationKernel struct {
 	n  int
 	l  int
 	lw int // words per L-bit slot row
-	// tran[u] aliases the schedule's tran(u) backing words (read-only).
-	tran [][]uint64
-	// rxOnly is the flat n×lw struct-of-arrays row block: rxOnly[u*lw:(u+1)*lw]
-	// holds recv(u) &^ tran(u), the slots in which u has the Receive role.
-	rxOnly []uint64
-	// txPerFrame and rxPerFrame are Σ_u |tran(u)| and Σ_u |recv(u) \ tran(u)|:
-	// the per-frame node-slot role census that prices energy and duty cycle.
+	// tran[u] and recv[u] alias the schedule's tran(u) and recv(u)
+	// backing words (read-only). Every schedule constructor rejects a node
+	// that both transmits and receives in one slot, so recv(u) is disjoint
+	// from tran(u) and is exactly the slots in which u has the Receive role.
+	tran, recv [][]uint64
+	// txPerFrame and rxPerFrame are Σ_u |tran(u)| and Σ_u |recv(u)|: the
+	// per-frame node-slot role census that prices energy and duty cycle.
 	txPerFrame, rxPerFrame int
 }
 
@@ -102,26 +102,20 @@ func NewSaturationKernel(s *core.Schedule, n int) (*SaturationKernel, error) {
 		return nil, fmt.Errorf("sim: graph has %d nodes but schedule supports %d", n, s.N())
 	}
 	l := s.L()
-	lw := (l + wordBits - 1) / wordBits
 	k := &SaturationKernel{
-		s:      s,
-		n:      n,
-		l:      l,
-		lw:     lw,
-		tran:   make([][]uint64, n),
-		rxOnly: make([]uint64, n*lw),
+		s:    s,
+		n:    n,
+		l:    l,
+		lw:   (l + wordBits - 1) / wordBits,
+		tran: make([][]uint64, n),
+		recv: make([][]uint64, n),
 	}
 	for u := 0; u < n; u++ {
-		tw := s.Tran(u).Words()
-		rw := s.Recv(u).Words()
-		k.tran[u] = tw
-		row := k.rxOnly[u*lw : (u+1)*lw]
-		for j := 0; j < lw; j++ {
-			t := tw[j]
-			r := rw[j] &^ t
-			row[j] = r
-			k.txPerFrame += bits.OnesCount64(t)
-			k.rxPerFrame += bits.OnesCount64(r)
+		k.tran[u] = s.Tran(u).Words()
+		k.recv[u] = s.Recv(u).Words()
+		for j := 0; j < k.lw; j++ {
+			k.txPerFrame += bits.OnesCount64(k.tran[u][j])
+			k.rxPerFrame += bits.OnesCount64(k.recv[u][j])
 		}
 	}
 	return k, nil
@@ -204,7 +198,7 @@ func (k *SaturationKernel) Run(g *topology.Graph, frames int, em EnergyModel) (*
 //ttdc:hotpath per-shard saturation frame resolution; all rows come pooled and presized from the caller
 func (k *SaturationKernel) resolveRange(g *topology.Graph, lo, hi, frames int,
 	ss *satShardScratch, inOff []int, vmaj []int) (collPerFrame, maxGap int) {
-	l, lw := k.l, k.lw
+	l := k.l
 	once, many, x1 := ss.once, ss.many, ss.x1
 	id := inOff[lo]
 	for v := lo; v < hi; v++ {
@@ -221,7 +215,7 @@ func (k *SaturationKernel) resolveRange(g *topology.Graph, lo, hi, frames int,
 			}
 			return true
 		})
-		rx := k.rxOnly[v*lw : (v+1)*lw]
+		rx := k.recv[v]
 		for j := range rx {
 			collPerFrame += bits.OnesCount64(rx[j] & many[j])
 			x1[j] = rx[j] & once[j] &^ many[j]

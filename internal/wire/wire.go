@@ -32,7 +32,9 @@ import (
 	"hash/crc32"
 	"math"
 	"math/big"
+	"math/bits"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 )
 
@@ -130,13 +132,20 @@ func Encode(f *Frame) ([]byte, error) {
 		return nil, err
 	}
 	s := f.Schedule
-	payload := make([]byte, 0, 64+s.L()*4)
+	// With n < 128 every count and gap is a one-byte varint, so sizing
+	// the payload at one byte per varint is exact for the served classes;
+	// a larger universe's few wider varints grow it by append.
+	size := 64
+	for i := 0; i < s.L(); i++ {
+		size += 2 + s.T(i).Count() + s.R(i).Count()
+	}
+	payload := make([]byte, 0, size)
 	payload = appendUvarints(payload,
 		uint64(f.N), uint64(f.D), uint64(f.AlphaT), uint64(f.AlphaR),
 		uint64(f.Strategy), uint64(s.L()))
 	for i := 0; i < s.L(); i++ {
-		payload = appendSet(payload, s.T(i).Elements())
-		payload = appendSet(payload, s.R(i).Elements())
+		payload = appendSet(payload, s.T(i))
+		payload = appendSet(payload, s.R(i))
 	}
 	num, den := f.AvgThroughput.Num().Bytes(), f.AvgThroughput.Denom().Bytes()
 	if len(num) > maxRatBytes || len(den) > maxRatBytes {
@@ -164,18 +173,20 @@ func appendUvarints(b []byte, vs ...uint64) []byte {
 	return b
 }
 
-// appendSet writes a sorted element list as count, first element, then
-// successive gaps minus one.
-func appendSet(b []byte, elems []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(elems)))
-	prev := 0
-	for i, e := range elems {
-		if i == 0 {
-			b = binary.AppendUvarint(b, uint64(e))
-		} else {
+// appendSet writes a set as its count, first element, then successive
+// gaps minus one, reading the elements in increasing order straight off
+// the set's words. Starting prev at -1 makes the first gap the first
+// element itself.
+func appendSet(b []byte, set *bitset.Set) []byte {
+	b = binary.AppendUvarint(b, uint64(set.Count()))
+	prev := -1
+	for wi, w := range set.Words() {
+		for w != 0 {
+			e := wi*64 + bits.TrailingZeros64(w)
 			b = binary.AppendUvarint(b, uint64(e-prev-1))
+			prev = e
+			w &= w - 1
 		}
-		prev = e
 	}
 	return b
 }

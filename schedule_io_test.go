@@ -2,12 +2,89 @@ package ttdc_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	ttdc "repro"
 )
+
+// encodeScheduleReflect encodes s as per-slot element lists through
+// encoding/json's reflection-driven stream encoder. It is the oracle that
+// AppendScheduleJSON's bytes are held to, and it produced the JSON
+// digests that serve's TestArtifactGoldenDigests pins.
+func encodeScheduleReflect(t testing.TB, s *ttdc.Schedule) []byte {
+	t.Helper()
+	out := struct {
+		N int     `json:"n"`
+		T [][]int `json:"t"`
+		R [][]int `json:"r"`
+	}{N: s.N(), T: make([][]int, s.L()), R: make([][]int, s.L())}
+	for i := 0; i < s.L(); i++ {
+		out.T[i] = s.T(i).Elements()
+		out.R[i] = s.R(i).Elements()
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkJSONEncoders holds AppendScheduleJSON and EncodeSchedule to the
+// reflection oracle: EncodeSchedule writes the oracle's bytes, newline
+// included, and the appender writes them without the newline after
+// whatever dst already held.
+func checkJSONEncoders(t testing.TB, name string, s *ttdc.Schedule) {
+	t.Helper()
+	want := encodeScheduleReflect(t, s)
+	var buf bytes.Buffer
+	if err := ttdc.EncodeSchedule(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("%s: EncodeSchedule =\n%s\nwant\n%s", name, buf.Bytes(), want)
+	}
+	prefix := []byte("prefix:")
+	got := ttdc.AppendScheduleJSON(prefix, s)
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want[:len(want)-1]) {
+		t.Fatalf("%s: AppendScheduleJSON =\n%s\nwant prefix:%s", name, got, want[:len(want)-1])
+	}
+}
+
+// TestScheduleJSONMatchesOracle checks the appender against the reflection
+// oracle on the shapes where hand-written encoding goes wrong: empty
+// slots, a one-node universe, a one-slot frame, ids on both sides of the
+// 64-bit word boundaries, and ids of four and five digits.
+func TestScheduleJSONMatchesOracle(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+		t, r [][]int
+	}{
+		{"empty slots", 3, [][]int{{}, {0}, {}}, [][]int{{}, {1, 2}, {1}}},
+		{"n=1", 1, [][]int{{0}, {}}, [][]int{{}, {0}}},
+		{"L=1", 4, [][]int{{1, 3}}, [][]int{{0, 2}}},
+		{"word boundaries", 130, [][]int{{63, 64, 65}, {0, 127, 128, 129}}, [][]int{{0, 62, 66, 129}, {63, 64, 65}}},
+		{"ids >= 1000", 12001, [][]int{{999, 1000, 1001}, {9999, 10000, 12000}}, [][]int{{0, 10000}, {1000, 11999}}},
+	} {
+		s, err := ttdc.NewSchedule(c.n, c.t, c.r)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkJSONEncoders(t, c.name, s)
+	}
+	duty, err := ttdc.PolynomialSchedule(9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJSONEncoders(t, "polynomial base n=9", duty)
+	if duty, err = ttdc.Construct(duty, ttdc.ConstructOptions{AlphaT: 2, AlphaR: 7, D: 2, Strategy: ttdc.Balanced}); err != nil {
+		t.Fatal(err)
+	}
+	checkJSONEncoders(t, "padded Construct n=9", duty)
+}
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	orig, err := ttdc.PolynomialSchedule(9, 2)
