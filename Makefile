@@ -60,11 +60,13 @@ race:
 # output and gives a fast local loop (`make race-conc`) when touching the
 # engine, the caches, the serving tier's forwarding and validator table,
 # or a schedule's node views, which the first reader derives. The
-# concurrent-revalidation and concurrent-first-use tests run ten times
-# over.
+# concurrent-revalidation, concurrent-schedule-request (one singleflight
+# over Construct and both encodings) and concurrent-first-use tests run
+# ten times over.
 race-conc:
 	$(GO) test -race ./internal/core ./internal/engine ./internal/schedcache ./internal/serve ./internal/shard
 	$(GO) test -race -count=10 -run TestConcurrentRevalidations ./internal/serve
+	$(GO) test -race -count=10 -run TestConcurrentScheduleRequests ./internal/serve
 	$(GO) test -race -count=10 -run TestNodeViewsConcurrentFirstUse ./internal/core
 
 # The struct-of-arrays simulator fast path shares pooled scratch and

@@ -126,25 +126,21 @@ type Latency struct {
 }
 
 // PeerReport is one peer's server-side counters scraped after the run.
-// A schedule lookup tries the artifact LRU first and schedcache only on an
-// artifact miss, so CacheHits counts lookups either layer answered and
-// CacheMisses the ones that reached schedcache's miss path; the Artifact
-// fields are the artifact LRU's own counters. LocalNotModified is the part
-// of NotModified the peer answered for keys other peers own, from digests
-// learned across the forward hop.
+// The cache fields count the peer's one artifact cache: each lookup is
+// one hit or one miss, and Constructions counts the misses that built.
+// LocalNotModified is the part of NotModified the peer answered for keys
+// other peers own, from digests learned across the forward hop.
 type PeerReport struct {
-	Peer              string `json:"peer"`
-	Requests          int64  `json:"requests"`
-	NotModified       int64  `json:"notModified"`
-	LocalNotModified  int64  `json:"localNotModified"`
-	CacheHits         int64  `json:"cacheHits"`
-	CacheMisses       int64  `json:"cacheMisses"`
-	ArtifactHits      int64  `json:"artifactHits"`
-	ArtifactMisses    int64  `json:"artifactMisses"`
-	ArtifactEvictions int64  `json:"artifactEvictions"`
-	Constructions     int64  `json:"constructions"`
-	LoopRejects       int64  `json:"loopRejects"`
-	LocalFallbacks    int64  `json:"localFallbacks"`
+	Peer             string `json:"peer"`
+	Requests         int64  `json:"requests"`
+	NotModified      int64  `json:"notModified"`
+	LocalNotModified int64  `json:"localNotModified"`
+	CacheHits        int64  `json:"cacheHits"`
+	CacheMisses      int64  `json:"cacheMisses"`
+	CacheEvictions   int64  `json:"cacheEvictions"`
+	Constructions    int64  `json:"constructions"`
+	LoopRejects      int64  `json:"loopRejects"`
+	LocalFallbacks   int64  `json:"localFallbacks"`
 }
 
 // File is the BENCH_serve.json document.
@@ -427,8 +423,7 @@ func scrapePeer(client *http.Client, base string) (PeerReport, error) {
 	}
 	defer resp.Body.Close() //nolint:errcheck // test scrape
 	var m struct {
-		Cache       map[string]int64     `json:"cache"`
-		Artifacts   serve.ArtifactStats  `json:"artifacts"`
+		Cache       serve.ArtifactStats  `json:"cache"`
 		Requests    int64                `json:"requests"`
 		NotModified int64                `json:"not_modified"`
 		Shard       *shard.Metrics       `json:"shard"`
@@ -438,16 +433,14 @@ func scrapePeer(client *http.Client, base string) (PeerReport, error) {
 		return PeerReport{}, err
 	}
 	pr := PeerReport{
-		Peer:              base,
-		Requests:          m.Requests,
-		NotModified:       m.NotModified,
-		LocalNotModified:  m.Validators.LocalNotModified,
-		CacheHits:         m.Artifacts.Hits + m.Cache["hits"],
-		CacheMisses:       m.Cache["misses"],
-		ArtifactHits:      m.Artifacts.Hits,
-		ArtifactMisses:    m.Artifacts.Misses,
-		ArtifactEvictions: m.Artifacts.Evictions,
-		Constructions:     m.Cache["constructions"],
+		Peer:             base,
+		Requests:         m.Requests,
+		NotModified:      m.NotModified,
+		LocalNotModified: m.Validators.LocalNotModified,
+		CacheHits:        m.Cache.Hits,
+		CacheMisses:      m.Cache.Misses,
+		CacheEvictions:   m.Cache.Evictions,
+		Constructions:    m.Cache.Constructions,
 	}
 	if m.Shard != nil {
 		pr.LoopRejects = m.Shard.LoopRejects

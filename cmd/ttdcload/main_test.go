@@ -168,8 +168,9 @@ func TestLoadAgainstInprocRing(t *testing.T) {
 }
 
 // TestPeerReportsCountArtifactHits pins the per-peer cache counters to the
-// layer that answers repeats: with four keys over 300 requests every key
-// repeats, and the artifact LRU in front of schedcache serves the repeats.
+// one cache that answers repeats: with four keys over 300 requests every
+// key repeats, each key is built once by its owner, and every lookup an
+// owner makes is counted once, as a hit or as a miss.
 func TestPeerReportsCountArtifactHits(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-inproc", "3", "-requests", "300", "-c", "2", "-keys", "4", "-seed", "7"}, &out, io.Discard); err != nil {
@@ -179,20 +180,30 @@ func TestPeerReportsCountArtifactHits(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	var artHits, artMisses, hits, constructions int64
+	if doc.Counts.Errors != 0 {
+		t.Fatalf("counts = %+v", doc.Counts)
+	}
+	var requests, local304, hits, misses, constructions int64
 	for _, pr := range doc.PeerReports {
-		if pr.CacheHits < pr.ArtifactHits {
-			t.Fatalf("peer %s: cacheHits %d below its artifact hits %d", pr.Peer, pr.CacheHits, pr.ArtifactHits)
+		if pr.CacheMisses < pr.Constructions {
+			t.Fatalf("peer %s: %d constructions from %d misses", pr.Peer, pr.Constructions, pr.CacheMisses)
 		}
-		artHits += pr.ArtifactHits
-		artMisses += pr.ArtifactMisses
+		requests += pr.Requests
+		local304 += pr.LocalNotModified
 		hits += pr.CacheHits
+		misses += pr.CacheMisses
 		constructions += pr.Constructions
 	}
-	if artHits == 0 || hits == 0 {
+	if hits == 0 {
 		t.Fatalf("repeated keys recorded no cache hits: %+v", doc.PeerReports)
 	}
-	if artMisses < constructions || constructions == 0 {
-		t.Fatalf("artifact misses %d, constructions %d: every construction follows an artifact miss", artMisses, constructions)
+	if constructions != int64(doc.Keys) {
+		t.Fatalf("constructions = %d, want one per key (%d)", constructions, doc.Keys)
+	}
+	// A peer looks a key up for every request it neither relayed nor
+	// answered from a learned digest.
+	if lookups := requests - doc.Counts.Forwarded - local304; hits+misses != lookups {
+		t.Fatalf("hits %d + misses %d != %d lookups (%d requests, %d forwarded, %d local 304s)",
+			hits, misses, lookups, requests, doc.Counts.Forwarded, local304)
 	}
 }

@@ -1,7 +1,9 @@
 // Command ttdcserve serves topology-transparent duty-cycling schedules
 // over HTTP, memoizing construction so every distinct class
-// (n, D, αT, αR, strategy) is built exactly once and then served from an
-// LRU cache with singleflight deduplication.
+// (n, D, αT, αR, strategy) is built and encoded exactly once and then
+// served from one LRU cache with singleflight deduplication, bounded by
+// entry count (-cache) and by the bytes of its schedules and their
+// encodings (-artifact-bytes).
 //
 // Usage:
 //
@@ -84,8 +86,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
-		capacity = fs.Int("cache", schedcache.DefaultCapacity, "max cached schedules (LRU)")
-		artBytes = fs.Int64("artifact-bytes", 0, "artifact cache byte budget (0 = 64 MiB)")
+		capacity = fs.Int("cache", schedcache.DefaultCapacity, "max cached schedules, each with its encodings (LRU); campaign runs get a schedule cache of this size too")
+		artBytes = fs.Int64("artifact-bytes", 0, "byte budget of the cached schedules and their encodings (0 = 64 MiB)")
 		maxAge   = fs.Int("max-age", serve.DefaultMaxAge, "Cache-Control max-age seconds (negative disables)")
 		grace    = fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests and campaign runs")
 
@@ -98,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		warmAR    = fs.Int("warm-alpha-r", 8, "warm lattice αR clip (0 = up to n)")
 		warmConc  = fs.Int("warm-concurrency", shard.DefaultWarmConcurrency, "concurrent warm constructions")
 		warmCells = fs.Int64("warm-cells", shard.DefaultCellBudget, "warm budget in predicted schedule cells (n×L)")
-		warmBytes = fs.Int64("warm-bytes", 0, "stop warming once the cache holds this many bytes (0 = off)")
+		warmBytes = fs.Int64("warm-bytes", 0, "stop warming once the cache holds this many bytes of schedules and encodings (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

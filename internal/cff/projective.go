@@ -114,20 +114,23 @@ func ProjectivePlane(n, p int) (*Family, error) {
 }
 
 // ProjectiveFor returns the smallest-order projective-plane family
-// supporting n nodes at degree bound d (the least prime p >= d with
-// p²+p+1 >= n).
+// supporting n nodes at degree bound d (order ProjectiveOrderFor(n, d)).
 func ProjectiveFor(n, d int) (*Family, error) {
 	if n < 1 || d < 1 {
 		return nil, fmt.Errorf("cff: ProjectiveFor(%d, %d)", n, d)
 	}
-	p := d
-	if p < 2 {
-		p = 2
-	}
+	return ProjectivePlane(n, ProjectiveOrderFor(n, d))
+}
+
+// ProjectiveOrderFor returns the least prime p >= max(d, 2) with
+// p²+p+1 >= n: the order of the plane ProjectiveFor builds, whose frame
+// length p²+p+1 is thus known before any line is laid out.
+func ProjectiveOrderFor(n, d int) int {
+	p := max(d, 2)
 	for {
 		p = gf.NextPrime(p)
 		if p*p+p+1 >= n {
-			return ProjectivePlane(n, p)
+			return p
 		}
 		p++
 	}

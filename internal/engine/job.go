@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	ttdc "repro"
+	"repro/internal/cff"
 	"repro/internal/schedcache"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -134,9 +135,10 @@ type memos struct {
 // Job. Job i's seed is stats.DeriveSeed(c.Seed, i), so a job's result
 // depends only on the campaign seed and its own index — never on worker
 // count or completion order. cache, when non-nil, additionally memoizes
-// polynomial schedule construction across campaigns; within the campaign
-// every construction is shared through a per-campaign memo regardless.
-func Jobs(c *Campaign, cache *schedcache.Cache) ([]Job, error) {
+// polynomial schedule construction across campaigns, and its limits bound
+// every construction; within the campaign every construction is shared
+// through a per-campaign memo regardless.
+func Jobs(c *Campaign, cache *schedcache.Cache[*ttdc.Schedule]) ([]Job, error) {
 	specs, err := c.Expand()
 	if err != nil {
 		return nil, err
@@ -165,11 +167,11 @@ func Jobs(c *Campaign, cache *schedcache.Cache) ([]Job, error) {
 
 // ExecuteJob runs one grid point: build (or fetch) the schedule, build the
 // topology from the job seed, run the workload, and collect metrics.
-func ExecuteJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache) (*Metrics, error) {
+func ExecuteJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache[*ttdc.Schedule]) (*Metrics, error) {
 	return executeJob(ctx, spec, seed, cache, memos{})
 }
 
-func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache, ms memos) (*Metrics, error) {
+func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache[*ttdc.Schedule], ms memos) (*Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -255,10 +257,11 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 // shares each build across the campaign's jobs: the base schedule of a
 // (construction, n, D) class is memoized under its own key, so every duty
 // point of the class runs Construct on one base. Polynomial jobs go
-// through the cross-campaign cache instead when one is supplied, so its
-// budget check still guards every construction. Both layers are
+// through the cross-campaign cache instead when one is supplied; every
+// other construction is then held to the cache's limits, checked from
+// closed forms before anything is materialized. Both layers are
 // singleflight under concurrency.
-func buildSchedule(spec JobSpec, cache *schedcache.Cache, scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
+func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
 		return nil, err
@@ -268,11 +271,16 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache, scheds *memo[schedKey,
 	if spec.AlphaT != 0 || spec.AlphaR != 0 {
 		key.alphaT, key.alphaR, key.strategy = spec.AlphaT, spec.AlphaR, schedcache.StrategyName(strategy)
 	}
-	if spec.Construction == "polynomial" && cache != nil {
-		// Get validates against the cache's own limits — serving bounds
-		// for HTTP-fed caches, TrustedLimits for the local CLIs.
-		ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-		return scheds.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
+	ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
+	if cache != nil {
+		if spec.Construction == "polynomial" {
+			// Get validates against the cache's own limits — serving bounds
+			// for HTTP-fed caches, TrustedLimits for the local CLIs.
+			return scheds.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
+		}
+		if err := checkBase(spec, ck, cache.Limits()); err != nil {
+			return nil, err
+		}
 	}
 	base := func() (*ttdc.Schedule, error) {
 		return scheds.get(baseKey, func() (*ttdc.Schedule, error) { return buildBase(spec) })
@@ -285,10 +293,38 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache, scheds *memo[schedKey,
 		if err != nil {
 			return nil, err
 		}
+		if cache != nil {
+			if err := cache.Limits().CheckConstruct(ck, b); err != nil {
+				return nil, err
+			}
+		}
 		return ttdc.Construct(b, ttdc.ConstructOptions{
 			AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, D: spec.D, Strategy: strategy,
 		})
 	})
+}
+
+// checkBase holds a non-polynomial job to lim before its base is built:
+// the key must validate, and the base's closed-form frame length — n for
+// TDMA, the triple system's order for Steiner, p²+p+1 for the projective
+// plane — must keep n×L within the budget.
+func checkBase(spec JobSpec, k schedcache.Key, lim schedcache.Limits) error {
+	if err := lim.Validate(k); err != nil {
+		return err
+	}
+	var l int
+	switch spec.Construction {
+	case "tdma":
+		l = spec.N
+	case "steiner":
+		l = cff.STSOrderFor(spec.N)
+	case "projective":
+		p := cff.ProjectiveOrderFor(spec.N, spec.D)
+		l = p*p + p + 1
+	default:
+		return fmt.Errorf("engine: unknown construction %q", spec.Construction)
+	}
+	return lim.CheckBase(k, l)
 }
 
 // buildBase builds the class's topology-transparent non-sleeping schedule.

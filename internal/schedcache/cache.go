@@ -4,18 +4,25 @@
 // orders of magnitude more expensive than a map lookup, so a serving
 // deployment wants every distinct key built exactly once.
 //
-// Cache is a concurrency-safe, size-bounded (LRU by entry count) cache
-// with singleflight-style deduplication: N concurrent Gets for the same
-// missing key trigger exactly one construction, and the other N-1 callers
-// block until the leader finishes and then share its result. Construction
-// errors are returned to every waiter but never cached, so a transient
-// bad key does not poison the table. Hit/miss/eviction/construction
-// counters are maintained atomically and exposed via Stats.
+// Cache is a concurrency-safe LRU memo of any value built from a Key: the
+// schedule itself (New, for the campaign engine and its CLIs), or a value
+// derived from it, such as the serving tier's artifact, which then keeps
+// a schedule and its encodings in one entry under one set of bounds. A
+// cache is bounded by entry count and, optionally, by the summed byte
+// size of its values. It deduplicates like singleflight: N concurrent
+// Gets for the same missing key run exactly one build, and the other N-1
+// callers block until the leader finishes and then share its result.
+// Build errors are returned to every waiter but never cached, so a
+// transient bad key does not poison the table. Every key is validated
+// against the cache's Limits before it is built, and the
+// hit/miss/eviction/construction counters are kept atomically and exposed
+// via Stats.
 package schedcache
 
 import (
 	"container/list"
 	"fmt"
+	"math/big"
 	"sync"
 	"sync/atomic"
 
@@ -132,104 +139,137 @@ func StrategyName(s core.DivisionStrategy) string {
 	return "sequential"
 }
 
-// Stats is an atomic snapshot of cache counters.
+// Stats is an atomic snapshot of cache counters. Its JSON form is the
+// cache's block in the serving tier's /metrics.
 type Stats struct {
 	// Hits counts Gets served from a cached entry.
-	Hits int64
-	// Misses counts Gets that found no cached entry — both construction
-	// leaders and callers coalesced onto another caller's construction.
-	Misses int64
-	// Inflight is the number of constructions running right now.
-	Inflight int64
-	// Evictions counts entries dropped to keep the cache within capacity.
-	Evictions int64
-	// Constructions counts actual construction runs; with perfect
-	// deduplication this equals the number of distinct keys ever built.
-	Constructions int64
-	// Errors counts constructions that failed (failures are not cached).
-	Errors int64
-	// Entries is the current number of cached schedules.
-	Entries int64
-	// Bytes is the estimated memory footprint of all cached schedules
-	// (see ScheduleBytes). The background warmer reads this against its
-	// byte budget so precomputation stops before it starts evicting the
-	// very entries it just warmed.
-	Bytes int64
+	Hits int64 `json:"hits"`
+	// Misses counts Gets that found no cached entry — both build leaders
+	// and callers coalesced onto another caller's build.
+	Misses int64 `json:"misses"`
+	// Inflight is the number of builds running right now.
+	Inflight int64 `json:"inflight"`
+	// Evictions counts entries dropped to keep the cache within its bounds.
+	Evictions int64 `json:"evictions"`
+	// Constructions counts actual build runs; with perfect deduplication
+	// this equals the number of distinct keys ever built.
+	Constructions int64 `json:"constructions"`
+	// Errors counts builds that failed (failures are not cached).
+	Errors int64 `json:"errors"`
+	// Entries is the current number of cached values.
+	Entries int64 `json:"entries"`
+	// Capacity is the entry-count bound.
+	Capacity int64 `json:"capacity"`
+	// Bytes is the estimated memory footprint of all cached values (the
+	// cache's Size; ScheduleBytes for a schedule cache). The background
+	// warmer reads this against its byte budget so precomputation stops
+	// before it starts evicting the very entries it just warmed.
+	Bytes int64 `json:"bytes"`
+	// CapacityBytes is the bound on Bytes; 0 when the entry count alone
+	// bounds the cache.
+	CapacityBytes int64 `json:"capacityBytes"`
 	// EvictedBytes accumulates the estimated footprint of every entry
-	// evicted so far; Bytes + EvictedBytes is the total ever inserted.
-	EvictedBytes int64
+	// evicted so far; Bytes + EvictedBytes is the total ever inserted. It
+	// tells a cache that churns gigabytes through a tight budget from one
+	// that evicted a few cold entries once.
+	EvictedBytes int64 `json:"evictedBytes"`
 }
 
-// call is a pending construction that concurrent Gets coalesce onto.
-type call struct {
+// Config describes a cache of V values.
+type Config[V any] struct {
+	// Capacity bounds the entry count (DefaultCapacity when <= 0).
+	Capacity int
+	// MaxBytes, when positive, also bounds the summed Size of the entries.
+	MaxBytes int64
+	// Limits validates every key before Build sees it.
+	Limits Limits
+	// Build makes the value for a validated key, once per miss however
+	// many Gets wait on it. It checks the key's footprint against Limits
+	// before materializing anything, as BuildLimited does.
+	Build func(Key) (V, error)
+	// Size estimates a value's resident footprint in bytes.
+	Size func(V) int64
+}
+
+// call is a pending build that concurrent Gets coalesce onto.
+type call[V any] struct {
 	done chan struct{}
-	s    *core.Schedule
+	v    V
 	err  error
 }
 
-type entry struct {
+type entry[V any] struct {
 	key   Key
-	s     *core.Schedule
+	v     V
 	bytes int64
 }
 
-// Cache is a memoizing schedule cache. The zero value is not usable; use
-// New. All methods are safe for concurrent use.
-type Cache struct {
-	capacity int
-	limits   Limits
+// Cache is a memoizing cache of the values its Config builds. The zero
+// value is not usable; use New or NewCache. All methods are safe for
+// concurrent use.
+type Cache[V any] struct {
+	cfg Config[V]
 
 	mu       sync.Mutex
-	lru      *list.List // front = most recently used; element values are *entry
+	lru      *list.List // front = most recently used; element values are *entry[V]
 	entries  map[Key]*list.Element
-	inflight map[Key]*call
+	inflight map[Key]*call[V]
 	bytes    int64 // estimated footprint of live entries; guarded by mu
 	evicted  int64 // estimated footprint of evicted entries; guarded by mu
 
 	hits, misses, evictions, constructions, errors, inflightN atomic.Int64
 }
 
-// DefaultCapacity bounds the cache when New is given a non-positive size.
+// DefaultCapacity bounds the cache when it is given a non-positive size.
 const DefaultCapacity = 1024
 
 // New returns a cache holding at most capacity schedules (DefaultCapacity
 // when capacity <= 0), bounded by ServingLimits.
-func New(capacity int) *Cache { return NewWithLimits(capacity, ServingLimits) }
+func New(capacity int) *Cache[*core.Schedule] { return NewWithLimits(capacity, ServingLimits) }
 
 // NewTrusted is New with TrustedLimits: for local operator tooling whose
 // keys were typed by the person who will watch the memory they allocate.
-func NewTrusted(capacity int) *Cache { return NewWithLimits(capacity, TrustedLimits) }
+func NewTrusted(capacity int) *Cache[*core.Schedule] {
+	return NewWithLimits(capacity, TrustedLimits)
+}
 
 // NewWithLimits returns a cache holding at most capacity schedules
-// (DefaultCapacity when capacity <= 0) validating keys against lim.
-func NewWithLimits(capacity int, lim Limits) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
+// (DefaultCapacity when capacity <= 0) validating keys against lim and
+// building them with BuildLimited.
+func NewWithLimits(capacity int, lim Limits) *Cache[*core.Schedule] {
+	return NewCache(Config[*core.Schedule]{
+		Capacity: capacity,
+		Limits:   lim,
+		Build:    func(k Key) (*core.Schedule, error) { return BuildLimited(k, lim) },
+		Size:     ScheduleBytes,
+	})
+}
+
+// NewCache returns an empty cache of the values cfg.Build makes.
+func NewCache[V any](cfg Config[V]) *Cache[V] {
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = DefaultCapacity
 	}
-	return &Cache{
-		capacity: capacity,
-		limits:   lim,
+	return &Cache[V]{
+		cfg:      cfg,
 		lru:      list.New(),
 		entries:  make(map[Key]*list.Element),
-		inflight: make(map[Key]*call),
+		inflight: make(map[Key]*call[V]),
 	}
 }
 
-// Capacity returns the maximum number of cached schedules.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Limits returns the validation bounds this cache was built with.
-func (c *Cache) Limits() Limits { return c.limits }
+func (c *Cache[V]) Limits() Limits { return c.cfg.Limits }
 
-// Len returns the current number of cached schedules.
-func (c *Cache) Len() int {
+// Len returns the current number of cached values.
+func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
 	entries := int64(len(c.entries))
 	bytes, evicted := c.bytes, c.evicted
@@ -242,40 +282,46 @@ func (c *Cache) Stats() Stats {
 		Constructions: c.constructions.Load(),
 		Errors:        c.errors.Load(),
 		Entries:       entries,
+		Capacity:      int64(c.cfg.Capacity),
 		Bytes:         bytes,
+		CapacityBytes: c.cfg.MaxBytes,
 		EvictedBytes:  evicted,
 	}
 }
 
-// Get returns the schedule for k, constructing and caching it on first
-// use. Concurrent Gets for the same missing key run one construction; the
-// rest wait and share the result. Schedules are immutable — callers may
-// share the returned pointer freely but must not mutate through unsafe
-// means.
-func (c *Cache) Get(k Key) (*core.Schedule, error) {
-	if err := c.limits.Validate(k); err != nil {
-		return nil, err
+// Get returns the value for k, building and caching it on first use.
+// Concurrent Gets for the same missing key run one build; the rest wait
+// and share the result. Values are shared, never copied: callers must
+// treat them as immutable.
+func (c *Cache[V]) Get(k Key) (V, error) {
+	v, _, err := c.Fetch(k)
+	return v, err
+}
+
+// Fetch is Get that also reports whether the value came from a cached
+// entry (a hit), rather than from a build this call ran or waited on.
+func (c *Cache[V]) Fetch(k Key) (v V, hit bool, err error) {
+	if err := c.cfg.Limits.Validate(k); err != nil {
+		return v, false, err
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
+	if v, ok := c.hitLocked(k); ok {
 		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*entry).s, nil
+		return v, true, nil
 	}
 	c.misses.Add(1)
 	if cl, ok := c.inflight[k]; ok {
 		c.mu.Unlock()
 		<-cl.done
-		return cl.s, cl.err
+		return cl.v, false, cl.err
 	}
-	cl := &call{done: make(chan struct{})}
+	cl := &call[V]{done: make(chan struct{})}
 	c.inflight[k] = cl
 	c.inflightN.Add(1)
 	c.mu.Unlock()
 
 	c.constructions.Add(1)
-	s, err := BuildLimited(k, c.limits)
+	v, err = c.cfg.Build(k)
 
 	c.mu.Lock()
 	delete(c.inflight, k)
@@ -283,32 +329,43 @@ func (c *Cache) Get(k Key) (*core.Schedule, error) {
 	if err != nil {
 		c.errors.Add(1)
 	} else {
-		c.insertLocked(k, s)
+		c.insertLocked(k, v)
 	}
 	c.mu.Unlock()
 
-	cl.s, cl.err = s, err
+	cl.v, cl.err = v, err
 	close(cl.done)
-	return s, err
+	return v, false, err
 }
 
-// insertLocked adds (k, s) as the most recently used entry and evicts
-// from the LRU tail past capacity. Caller holds c.mu.
-func (c *Cache) insertLocked(k Key, s *core.Schedule) {
-	if el, ok := c.entries[k]; ok { // lost a race with another inserter
-		c.lru.MoveToFront(el)
-		return
+// hitLocked returns k's cached value, if any, and marks it most recently
+// used. Caller holds c.mu.
+//
+//ttdc:hotpath the fully warm serving hit: map probe, LRU repositioning and one atomic counter
+func (c *Cache[V]) hitLocked(k Key) (v V, ok bool) {
+	el, ok := c.entries[k]
+	if !ok {
+		return v, false
 	}
-	b := ScheduleBytes(s)
-	c.entries[k] = c.lru.PushFront(&entry{key: k, s: s, bytes: b})
+	c.lru.MoveToFront(el)
+	c.hits.Add(1)
+	return el.Value.(*entry[V]).v, true
+}
+
+// insertLocked adds (k, v) as the most recently used entry and evicts from
+// the LRU tail until both bounds hold. Only the build leader inserts, and
+// no other leader for k exists until it has, so k is never already
+// present. A value bigger than the whole byte budget evicts everything
+// including itself: the budget is a hard ceiling, and the leader already
+// holds the value it built. Caller holds c.mu.
+func (c *Cache[V]) insertLocked(k Key, v V) {
+	b := c.cfg.Size(v)
+	c.entries[k] = c.lru.PushFront(&entry[V]{key: k, v: v, bytes: b})
 	c.bytes += b
-	for len(c.entries) > c.capacity {
+	for len(c.entries) > c.cfg.Capacity || (c.cfg.MaxBytes > 0 && c.bytes > c.cfg.MaxBytes) {
 		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
 		c.lru.Remove(tail)
-		e := tail.Value.(*entry)
+		e := tail.Value.(*entry[V])
 		delete(c.entries, e.key)
 		c.bytes -= e.bytes
 		c.evicted += e.bytes
@@ -375,9 +432,8 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cost := int64(k.N) * int64(params.FrameLength()); cost > lim.MaxCells {
-		return nil, fmt.Errorf("schedcache: base schedule for N(%d, %d) needs frame length %d; n×L = %d exceeds the build budget %d",
-			k.N, k.D, params.FrameLength(), cost, lim.MaxCells)
+	if err := lim.CheckBase(k, params.FrameLength()); err != nil {
+		return nil, err
 	}
 	fam, err := cff.PolynomialFor(k.N, k.D)
 	if err != nil {
@@ -393,13 +449,8 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 	if k.AlphaT+k.AlphaR > k.N {
 		return nil, fmt.Errorf("schedcache: Construct requires αT + αR <= n (got %d + %d > %d)", k.AlphaT, k.AlphaR, k.N)
 	}
-	// Theorem 7 gives the duty-cycled frame length in closed form; check
-	// it against the budget before running the expansion.
-	aStar := core.OptimalTransmittersCapped(k.N, k.D, k.AlphaT)
-	lFinal := core.ConstructedFrameLength(ns, aStar, k.AlphaR)
-	if cost := int64(k.N) * int64(lFinal); cost > lim.MaxCells {
-		return nil, fmt.Errorf("schedcache: (%d, %d)-schedule for N(%d, %d) needs frame length %d; n×L = %d exceeds the build budget %d",
-			k.AlphaT, k.AlphaR, k.N, k.D, lFinal, cost, lim.MaxCells)
+	if err := lim.CheckConstruct(k, ns); err != nil {
+		return nil, err
 	}
 	return core.Construct(ns, core.ConstructOptions{
 		AlphaT:   k.AlphaT,
@@ -407,4 +458,43 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 		D:        k.D,
 		Strategy: k.Strategy,
 	})
+}
+
+// CheckBase reports whether the base schedule for k's class, whose frame
+// length l a closed form gives, fits lim's n×L budget. Every base
+// construction a cache answers for is checked this way before n member
+// sets over l slots are materialized.
+func (lim Limits) CheckBase(k Key, l int) error {
+	if !lim.fits(k.N, l) {
+		return fmt.Errorf("schedcache: base schedule for N(%d, %d) needs frame length %d; n×L = %v exceeds the build budget %d",
+			k.N, k.D, l, cells(k.N, l), lim.MaxCells)
+	}
+	return nil
+}
+
+// CheckConstruct reports whether Construct's (αT, αR)-schedule for the
+// validated key k over the base ns fits lim's n×L budget. Theorem 7 gives
+// its frame length in closed form, so the check runs before the
+// expansion.
+func (lim Limits) CheckConstruct(k Key, ns *core.Schedule) error {
+	aStar := core.OptimalTransmittersCapped(k.N, k.D, k.AlphaT)
+	l := core.ConstructedFrameLength(ns, aStar, k.AlphaR)
+	if !lim.fits(k.N, l) {
+		return fmt.Errorf("schedcache: (%d, %d)-schedule for N(%d, %d) needs frame length %d; n×L = %v exceeds the build budget %d",
+			k.AlphaT, k.AlphaR, k.N, k.D, l, cells(k.N, l), lim.MaxCells)
+	}
+	return nil
+}
+
+// fits reports whether n×l <= lim.MaxCells. It divides rather than
+// multiplies: at TrustedLimits' n = 2^21 a polynomial frame of q² = 2^42
+// slots puts n×l past the int64 range, where the product would wrap and
+// pass.
+func (lim Limits) fits(n, l int) bool {
+	return n <= 0 || int64(l) <= lim.MaxCells/int64(n)
+}
+
+// cells is n×l without overflow, for error messages.
+func cells(n, l int) *big.Int {
+	return new(big.Int).Mul(big.NewInt(int64(n)), big.NewInt(int64(l)))
 }

@@ -141,6 +141,22 @@ func TestBuildBudget(t *testing.T) {
 	}
 }
 
+// TestBuildBudgetNoOverflow: the budget holds where n×L leaves the int64
+// range. At TrustedLimits' largest class, N(2^21, 2^21-1), the polynomial
+// base needs q = 2^21 and so 2^42 slots (BaseFrameLength says so, after a
+// parameter search too slow for this suite); n×L = 2^63 would wrap
+// negative and pass a multiplied check.
+func TestBuildBudgetNoOverflow(t *testing.T) {
+	k := Key{N: TrustedLimits.MaxN, D: TrustedLimits.MaxN - 1}
+	if err := TrustedLimits.Validate(k); err != nil {
+		t.Fatal(err)
+	}
+	err := TrustedLimits.CheckBase(k, 1<<42)
+	if err == nil || !strings.Contains(err.Error(), "n×L = 9223372036854775808 exceeds the build budget") {
+		t.Fatalf("CheckBase(%+v, 2^42) = %v, want the budget error", k, err)
+	}
+}
+
 // TestSingleflight launches 100 goroutines at one missing key and asserts
 // exactly one construction ran and every caller got the same pointer.
 // Must pass under -race.
@@ -384,13 +400,13 @@ func TestKeyCanonical(t *testing.T) {
 }
 
 // liveBytes recomputes the footprint of the cached entries from scratch.
-func liveBytes(c *Cache) int64 {
+func liveBytes(c *Cache[*core.Schedule]) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total int64
 	for _, el := range c.entries {
-		e := el.Value.(*entry)
-		if e.bytes != ScheduleBytes(e.s) {
+		e := el.Value.(*entry[*core.Schedule])
+		if e.bytes != ScheduleBytes(e.v) {
 			return -1
 		}
 		total += e.bytes

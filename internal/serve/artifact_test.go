@@ -33,7 +33,7 @@ func TestArtifactCacheByteBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := svc.ArtifactStats()
+	st := svc.Cache().Stats()
 	if st.CapacityBytes != budget {
 		t.Fatalf("CapacityBytes = %d, want %d", st.CapacityBytes, budget)
 	}
@@ -54,7 +54,7 @@ func TestArtifactCacheByteBudget(t *testing.T) {
 	} else if warm {
 		t.Fatal("evicted artifact reported as a warm hit")
 	}
-	if got := svc.ArtifactStats().Misses; got != misses+1 {
+	if got := svc.Cache().Stats().Misses; got != misses+1 {
 		t.Fatalf("Misses = %d after rebuilding an evicted key, want %d", got, misses+1)
 	}
 
@@ -64,8 +64,35 @@ func TestArtifactCacheByteBudget(t *testing.T) {
 	if _, _, err := tiny.Artifact(schedcache.Key{N: 9, D: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if st := tiny.ArtifactStats(); st.Entries != 0 || st.Bytes != 0 {
+	if st := tiny.Cache().Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversized artifact stayed resident: %+v", st)
+	}
+}
+
+// TestArtifactBytesBoundSchedules: the byte budget bounds the schedules
+// the cache holds, not just their encodings. The keys' schedules alone
+// outweigh the budget several times over; what stays resident, schedules
+// included, is within it, and the most recent key fits and stays.
+func TestArtifactBytesBoundSchedules(t *testing.T) {
+	const budget = 1 << 20
+	svc := NewServiceBytes(64, budget)
+	var scheduleBytes int64
+	for n := 124; n >= 64; n -= 10 {
+		a, _, err := svc.Artifact(schedcache.Key{N: n, D: 2, AlphaT: 2, AlphaR: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheduleBytes += schedcache.ScheduleBytes(a.Frame.Schedule)
+	}
+	if scheduleBytes <= 2*budget {
+		t.Fatalf("the keys' schedules total %d bytes; the test needs well over the %d budget", scheduleBytes, budget)
+	}
+	st := svc.Cache().Stats()
+	if st.Bytes > budget {
+		t.Fatalf("%d bytes resident, schedules included, exceed the %d budget: %+v", st.Bytes, budget, st)
+	}
+	if st.Entries == 0 || st.Evictions == 0 {
+		t.Fatalf("want the last key resident and earlier ones evicted: %+v", st)
 	}
 }
 

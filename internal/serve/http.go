@@ -483,21 +483,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// One cache answers /schedule; its block is served under both names
+	// its readers use.
 	st := s.svc.Cache().Stats()
 	m := map[string]any{
-		"cache": map[string]int64{
-			"hits":          st.Hits,
-			"misses":        st.Misses,
-			"inflight":      st.Inflight,
-			"evictions":     st.Evictions,
-			"constructions": st.Constructions,
-			"errors":        st.Errors,
-			"entries":       st.Entries,
-			"capacity":      int64(s.svc.Cache().Capacity()),
-			"bytes":         st.Bytes,
-			"evictedBytes":  st.EvictedBytes,
-		},
-		"artifacts":        s.svc.ArtifactStats(),
+		"cache":            st,
+		"artifacts":        st,
 		"engine":           s.svc.Jobs().metrics(),
 		"requests":         s.requests.Load(),
 		"not_modified":     s.notModified.Load(),

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/schedcache"
 )
@@ -43,13 +44,14 @@ type campaignRun struct {
 //	GET  /jobs        list runs in submission order
 //	GET  /jobs/{id}   progress snapshot; full results once done
 //
-// Runs execute in-process on the engine worker pool and share the
-// service's schedule cache, so repeated grid points across campaigns hit
-// warm schedules. Every accepted run is tracked by a WaitGroup so a
-// shutting-down server can Drain: wait for accepted work, cancelling it
-// if the drain deadline expires first.
+// Runs execute in-process on the engine worker pool and share one
+// schedule cache, so repeated grid points across campaigns hit warm
+// schedules; its limits bound every construction a run asks for. Every
+// accepted run is tracked by a WaitGroup so a shutting-down server can
+// Drain: wait for accepted work, cancelling it if the drain deadline
+// expires first.
 type Jobs struct {
-	cache *schedcache.Cache
+	cache *schedcache.Cache[*core.Schedule]
 
 	// baseCtx parents every run; cancel aborts them all when a drain
 	// deadline expires.
@@ -65,7 +67,7 @@ type Jobs struct {
 }
 
 // NewJobs builds the campaign API over cache.
-func NewJobs(cache *schedcache.Cache) *Jobs {
+func NewJobs(cache *schedcache.Cache[*core.Schedule]) *Jobs {
 	//lint:ignore ctxcancel cancel is retained on the struct: Drain calls it when its deadline expires, aborting in-flight campaign runs
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Jobs{cache: cache, baseCtx: ctx, cancel: cancel, runs: make(map[string]*campaignRun)}

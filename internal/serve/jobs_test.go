@@ -90,6 +90,37 @@ func TestJobsSubmitAndFetch(t *testing.T) {
 	}
 }
 
+// TestJobsHoldEveryConstructionToLimits: a /jobs campaign is held to the
+// serving limits whatever its construction. The key must validate, and
+// n×L must fit the build budget, from closed forms before anything is
+// built. Each case below was built in full when only polynomial jobs
+// were checked.
+func TestJobsHoldEveryConstructionToLimits(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(NewService(0), Options{}))
+	defer ts.Close()
+	for _, tc := range []struct{ doc, msg string }{
+		// A TDMA frame is n slots: 12000² cells is 2.1× the budget.
+		{`{"construction":"tdma","n":[12000],"d":[2]}`,
+			"base schedule for N(12000, 2) needs frame length 12000; n×L = 144000000 exceeds the build budget 67108864"},
+		// The least prime p >= D = 90 is 97, a plane of 9507 points.
+		{`{"construction":"projective","n":[8200],"d":[90]}`,
+			"base schedule for N(8200, 90) needs frame length 9507; n×L = 77957400 exceeds the build budget 67108864"},
+		// Theorem 7: (1, 1) caps stretch each of TDMA's 420 slots to 419.
+		{`{"construction":"tdma","n":[420],"d":[2],"duty":[{"alphaT":1,"alphaR":1}]}`,
+			"(1, 1)-schedule for N(420, 2) needs frame length 175980; n×L = 73911600 exceeds the build budget 67108864"},
+		{`{"construction":"steiner","n":[9],"d":[20]}`, "schedcache: D = 20 outside [1, 8]"},
+	} {
+		sub := postCampaign(t, ts, tc.doc)
+		st := awaitDone(t, ts, sub.ID)
+		if st.State != stateDone || len(st.Results) != 1 {
+			t.Fatalf("%s: state %s with %d results", tc.doc, st.State, len(st.Results))
+		}
+		if rec := st.Results[0]; rec.Status != engine.StatusFail || !strings.Contains(rec.Error, tc.msg) {
+			t.Errorf("%s: status %s, error %q; want a failure naming %q", tc.doc, rec.Status, rec.Error, tc.msg)
+		}
+	}
+}
+
 func TestJobsRejectsBadCampaign(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(NewService(0), Options{}))
 	defer ts.Close()

@@ -75,8 +75,8 @@ func TestScheduleEndpoint(t *testing.T) {
 	if st := svc.Cache().Stats(); st.Constructions != 1 || st.Misses != 1 {
 		t.Fatalf("cache stats after one request: %+v", st)
 	}
-	// Second identical request: a fully warm artifact hit — the schedule
-	// cache is not even consulted.
+	// Second identical request: a fully warm hit — nothing is built or
+	// encoded again.
 	rec2, _ := get(t, h, "/schedule?n=25&D=2&alphaT=3&alphaR=5")
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("repeat status %d", rec2.Code)
@@ -87,7 +87,7 @@ func TestScheduleEndpoint(t *testing.T) {
 	if st := svc.Cache().Stats(); st.Constructions != 1 {
 		t.Fatalf("cache stats after repeat: %+v", st)
 	}
-	if as := svc.ArtifactStats(); as.Hits != 1 || as.Misses != 1 || as.Entries != 1 {
+	if as := svc.Cache().Stats(); as.Hits != 1 || as.Misses != 1 || as.Entries != 1 {
 		t.Fatalf("artifact stats after repeat: %+v", as)
 	}
 }
@@ -198,7 +198,7 @@ func TestConcurrentScheduleRequests(t *testing.T) {
 	if st.Inflight != 0 {
 		t.Fatalf("inflight gauge stuck at %d", st.Inflight)
 	}
-	as := svc.ArtifactStats()
+	as := svc.Cache().Stats()
 	if as.Hits+as.Misses != requests {
 		t.Fatalf("artifact hits %d + misses %d != %d requests", as.Hits, as.Misses, requests)
 	}

@@ -1,7 +1,7 @@
 // Package serve is the transport-agnostic schedule-serving layer behind
 // cmd/ttdcserve. It owns everything between "a validated cache key" and
-// "bytes a fleet client downloads": the memoized schedule construction
-// (internal/schedcache), the per-key serving artifacts — the binary wire
+// "bytes a fleet client downloads": one memo of per-key serving artifacts
+// (internal/schedcache) — the constructed schedule, the binary wire
 // frame, the legacy JSON document, and the content digest that becomes
 // the HTTP ETag — and the async campaign runs, with a drain path so a
 // shutting-down server finishes what it accepted.
@@ -12,11 +12,8 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
-	"sync"
-	"sync/atomic"
 
 	ttdc "repro"
 	"repro/internal/core"
@@ -59,174 +56,86 @@ type Artifact struct {
 	Digest string
 }
 
-// ArtifactStats counts the artifact cache's traffic. EvictedBytes is the
-// cumulative size of everything evicted, so an operator can tell a cache
-// that churns gigabytes through a tight budget from one that evicted a few
-// cold entries once.
-type ArtifactStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Entries       int64 `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	CapacityBytes int64 `json:"capacityBytes"`
-	EvictedBytes  int64 `json:"evictedBytes"`
+// bytes is the artifact's footprint in the cache: its schedule, as
+// schedcache.ScheduleBytes estimates it, and both encodings.
+func (a *Artifact) bytes() int64 {
+	return schedcache.ScheduleBytes(a.Frame.Schedule) + int64(len(a.Wire)+len(a.JSON))
 }
+
+// ArtifactStats is the artifact cache's /metrics block.
+type ArtifactStats = schedcache.Stats
 
 // DefaultArtifactBytes bounds the artifact cache when no explicit budget
 // is configured. Entry-count capacity alone is no bound at all here: one
-// n=4096 schedule's wire+JSON encodings outweigh thousands of small ones,
-// so a count-capped cache could quietly hold gigabytes.
+// n=4096 schedule and its encodings outweigh thousands of small ones, so
+// a count-capped cache could quietly hold gigabytes.
 const DefaultArtifactBytes int64 = 64 << 20
 
-// artifactCache is a small LRU over encoded artifacts, bounded both by
-// entry count and by encoded bytes. Encoding is cheap next to construction
-// but not next to a warm hit — a fleet pulling the same few hundred keys
-// should not re-serialize a schedule per request.
-type artifactCache struct {
-	capacity int
-	maxBytes int64
-
-	mu      sync.Mutex
-	lru     *list.List // element values are *Artifact
-	entries map[schedcache.Key]*list.Element
-	bytes   int64
-
-	hits, misses, evictions, evictedBytes atomic.Int64
-}
-
-func newArtifactCache(capacity int, maxBytes int64) *artifactCache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultArtifactBytes
-	}
-	return &artifactCache{
-		capacity: capacity,
-		maxBytes: maxBytes,
-		lru:      list.New(),
-		entries:  make(map[schedcache.Key]*list.Element),
-	}
-}
-
-//ttdc:hotpath the fully warm serving hit: map probe, LRU repositioning, and atomic counters only
-func (c *artifactCache) get(k schedcache.Key) (*Artifact, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*Artifact), true
-}
-
-func (c *artifactCache) add(a *Artifact) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[a.Key]; ok { // lost a race with another builder
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[a.Key] = c.lru.PushFront(a)
-	c.bytes += int64(len(a.Wire) + len(a.JSON))
-	// Evict from the cold end until both bounds hold. An artifact bigger
-	// than the whole byte budget evicts everything including itself: the
-	// budget is a hard ceiling, oversized artifacts are just never cached
-	// (the caller already holds the one it built).
-	for len(c.entries) > c.capacity || c.bytes > c.maxBytes {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		c.lru.Remove(tail)
-		e := tail.Value.(*Artifact)
-		delete(c.entries, e.Key)
-		sz := int64(len(e.Wire) + len(e.JSON))
-		c.bytes -= sz
-		c.evictions.Add(1)
-		c.evictedBytes.Add(sz)
-	}
-}
-
-func (c *artifactCache) stats() ArtifactStats {
-	c.mu.Lock()
-	entries, bytes := int64(len(c.entries)), c.bytes
-	c.mu.Unlock()
-	return ArtifactStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Entries:       entries,
-		Bytes:         bytes,
-		CapacityBytes: c.maxBytes,
-		EvictedBytes:  c.evictedBytes.Load(),
-	}
-}
-
-// Service is the transport-agnostic serving core: schedule cache,
-// artifact cache, and async campaign runs.
+// Service is the transport-agnostic serving core: the artifact cache in
+// front of /schedule, and async campaign runs.
 type Service struct {
-	cache *schedcache.Cache
-	arts  *artifactCache
+	cache *schedcache.Cache[*Artifact]
 	jobs  *Jobs
 }
 
-// NewService builds a service over a fresh schedule cache of the given
-// capacity (schedcache.DefaultCapacity when <= 0). The artifact cache
-// mirrors the schedule cache's entry capacity and is additionally bounded
-// by DefaultArtifactBytes of encoded payload.
+// NewService builds a service whose artifact cache holds at most capacity
+// artifacts (schedcache.DefaultCapacity when <= 0) within
+// DefaultArtifactBytes. Campaign runs get a schedule cache of their own
+// with the same capacity and serving limits.
 func NewService(capacity int) *Service {
 	return NewServiceBytes(capacity, 0)
 }
 
 // NewServiceBytes is NewService with an explicit artifact-cache byte
-// budget (<= 0 means DefaultArtifactBytes).
+// budget (<= 0 means DefaultArtifactBytes). The budget covers each
+// artifact's schedule as well as its encodings.
 func NewServiceBytes(capacity int, artifactBytes int64) *Service {
-	cache := schedcache.New(capacity)
+	if artifactBytes <= 0 {
+		artifactBytes = DefaultArtifactBytes
+	}
 	return &Service{
-		cache: cache,
-		arts:  newArtifactCache(cache.Capacity(), artifactBytes),
-		jobs:  NewJobs(cache),
+		cache: schedcache.NewCache(schedcache.Config[*Artifact]{
+			Capacity: capacity,
+			MaxBytes: artifactBytes,
+			Limits:   schedcache.ServingLimits,
+			Build:    newArtifact,
+			Size:     (*Artifact).bytes,
+		}),
+		jobs: NewJobs(schedcache.New(capacity)),
 	}
 }
 
-// Cache exposes the schedule cache (stats, warm-path byte budget).
-func (s *Service) Cache() *schedcache.Cache { return s.cache }
+// Cache exposes the artifact cache (stats, warm-path byte budget).
+func (s *Service) Cache() *schedcache.Cache[*Artifact] { return s.cache }
 
 // Jobs exposes the async campaign API.
 func (s *Service) Jobs() *Jobs { return s.jobs }
 
-// ArtifactStats snapshots the artifact cache counters.
-func (s *Service) ArtifactStats() ArtifactStats { return s.arts.stats() }
-
-// Artifact returns the serving artifact for k, building and caching the
-// schedule and its encodings on first use. The bool reports whether the
-// artifact came from the artifact cache (a fully warm hit).
+// Artifact returns the serving artifact for k, building the schedule and
+// its encodings on first use. The bool reports whether the artifact came
+// from the cache (a fully warm hit).
 func (s *Service) Artifact(k schedcache.Key) (*Artifact, bool, error) {
-	if a, ok := s.arts.get(k); ok {
-		return a, true, nil
-	}
-	sched, err := s.cache.Get(k)
-	if err != nil {
-		return nil, false, err
-	}
-	a, err := buildArtifact(k, sched)
-	if err != nil {
-		return nil, false, err
-	}
-	s.arts.add(a)
-	return a, false, nil
+	return s.cache.Fetch(k)
 }
 
-// Schedule is the warmer's entry point: it fills both caches for k and
+// Schedule is the warmer's entry point: it fills the cache for k and
 // returns the schedule.
 func (s *Service) Schedule(k schedcache.Key) (*core.Schedule, error) {
-	a, _, err := s.Artifact(k)
+	a, err := s.cache.Get(k)
 	if err != nil {
 		return nil, err
 	}
 	return a.Frame.Schedule, nil
+}
+
+// newArtifact is the artifact cache's build: the schedule for k, under
+// the serving limits, and its encodings.
+func newArtifact(k schedcache.Key) (*Artifact, error) {
+	sched, err := schedcache.Build(k)
+	if err != nil {
+		return nil, err
+	}
+	return buildArtifact(k, sched)
 }
 
 // buildArtifact encodes both representations and the content digest. The

@@ -344,3 +344,46 @@ func TestConcurrentRevalidations(t *testing.T) {
 		t.Fatalf("validators %+v, want %+v", st, want)
 	}
 }
+
+// TestValidatorTruncatedRelay: an owner that sends an ETag and then fewer
+// body bytes than its Content-Length teaches the entry nothing. The
+// client sees the short body, and the entry forwards the next
+// revalidation of that key instead of answering it from the tag.
+func TestValidatorTruncatedRelay(t *testing.T) {
+	servers, fwds, peers := testPeers(t, 2, 0)
+	entry, owner := servers[0].URL, servers[1].URL
+	path, _ := ownedBy(t, fwds[0], owner)
+	tag := etagFor(strings.Repeat("a", 32), false)
+	var ownerRequests atomic.Int64
+	servers[1].Config.Handler.(*swappable).set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ownerRequests.Add(1)
+		w.Header().Set("ETag", tag)
+		if r.Header.Get("If-None-Match") == tag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Header().Set("Content-Length", "1000")
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{"schedule":`)) //nolint:errcheck // the truncation is the point
+	}))
+
+	resp, body, err := tryFetch(entry+path, "", "")
+	if err == nil || resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != tag || len(body) >= 1000 {
+		t.Fatalf("truncated relay reached the client as status %d, ETag %q, %d body bytes, error %v",
+			resp.StatusCode, resp.Header.Get("ETag"), len(body), err)
+	}
+	if st := peers[0].validators.stats(); st.Entries != 0 {
+		t.Fatalf("a truncated relay taught the entry a digest: %+v", st)
+	}
+	resp, _ = fetch(t, entry+path, "", tag)
+	if resp.StatusCode != http.StatusNotModified || resp.Header.Get(shard.ServedByHeader) != owner {
+		t.Fatalf("revalidation after a truncated relay: status %d served by %q, want the owner's 304",
+			resp.StatusCode, resp.Header.Get(shard.ServedByHeader))
+	}
+	if got := ownerRequests.Load(); got != 2 {
+		t.Fatalf("owner saw %d requests, want 2", got)
+	}
+	if got := peers[0].validators.local.Load(); got != 0 {
+		t.Fatalf("entry answered %d revalidations itself after a truncated relay", got)
+	}
+}

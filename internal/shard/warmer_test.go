@@ -12,7 +12,7 @@ import (
 
 // countingBuild wraps a real schedule cache so warms construct genuine
 // schedules while the test observes exactly which keys were built.
-func countingBuild(c *schedcache.Cache) (func(schedcache.Key) (*core.Schedule, error), *sync.Map, *atomic.Int64) {
+func countingBuild(c *schedcache.Cache[*core.Schedule]) (func(schedcache.Key) (*core.Schedule, error), *sync.Map, *atomic.Int64) {
 	var keys sync.Map
 	var calls atomic.Int64
 	return func(k schedcache.Key) (*core.Schedule, error) {

@@ -171,7 +171,7 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 // over schedule construction with singleflight deduplication: N concurrent
 // requests for the same (n, D, αT, αR, strategy) key trigger exactly one
 // construction. See internal/schedcache and cmd/ttdcserve.
-type ScheduleCache = schedcache.Cache
+type ScheduleCache = schedcache.Cache[*Schedule]
 
 // ScheduleCacheKey identifies a cached schedule request; zero AlphaT and
 // AlphaR request the non-sleeping base schedule.
