@@ -17,6 +17,7 @@ var allocGateEntries = []string{
 	"(*repro/internal/bitset.Set).IntersectionCount",           // popcount reduction on the throughput scans
 	"(*repro/internal/bitset.Set).Intersects",                  // condition-(2) probe of the requirement checks; short-circuiting word scan
 	"(*repro/internal/bitset.Set).UnionWith",                   // in-place set union on the verification walks; word loop over existing backing arrays
+	"repro/internal/bitset.TransposeWindow",                    // the simulator kernels transpose their slot sets one 64-slot window at a time
 }
 
 // TestHotpathAllocGates closes the static/dynamic gap for the

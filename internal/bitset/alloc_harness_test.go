@@ -23,6 +23,7 @@ func allocGateHarness(t *testing.T, sym string) func() {
 	b := FromSlice(130, []int{3, 64, 70})
 	mask := FromSlice(130, []int{0, 64, 99, 129})
 	dst := New(130)
+	window, cols := []*Set{a, b, mask}, make([]uint64, 130)
 	switch sym {
 	case "(*repro/internal/bitset.Set).Contains":
 		return func() { gateSinkBool = a.Contains(99) }
@@ -40,6 +41,8 @@ func allocGateHarness(t *testing.T, sym string) func() {
 		return func() { gateSinkBool = a.Intersects(b) }
 	case "(*repro/internal/bitset.Set).UnionWith":
 		return func() { dst.UnionWith(b) }
+	case "repro/internal/bitset.TransposeWindow":
+		return func() { TransposeWindow(window, cols) }
 	}
 	t.Fatalf("no alloc-gate harness for %s; add one in alloc_harness_test.go", sym)
 	return nil

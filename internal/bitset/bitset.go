@@ -372,23 +372,54 @@ func Transpose(rows []*Set, cols int) []*Set {
 	for cw := 0; cw*wordBits < cols; cw++ {
 		jn := minInt(wordBits, cols-cw*wordBits)
 		for rw := 0; rw < outWords; rw++ {
-			block := src[rw*wordBits : minInt(n, (rw+1)*wordBits)]
-			for k, w := range block {
-				blk[k] = 0
-				if cw < len(w) {
-					blk[k] = w[cw]
-				}
-			}
-			for k := len(block); k < wordBits; k++ {
-				blk[k] = 0
-			}
-			transpose64(&blk)
+			transposeBlock(&blk, src[rw*wordBits:minInt(n, (rw+1)*wordBits)], cw)
 			for j := 0; j < jn; j++ {
 				slab[(cw*wordBits+j)*outWords+rw] = blk[j]
 			}
 		}
 	}
 	return out
+}
+
+// TransposeWindow transposes a window of at most 64 rows into one word per
+// column: bit k of dst[j] is set exactly when rows[k] contains j, for every
+// j in [0, len(dst)). Elements of a row at or beyond len(dst) are ignored,
+// a row shorter than dst reads as zero-padded, and bits len(rows) and up
+// are zero. It is one output word of Transpose for every column, stored
+// contiguously, so a caller that reads a long bit matrix 64 rows at a
+// time holds one word per column instead of the whole transpose.
+//
+//ttdc:hotpath the simulator kernels transpose their slot sets one 64-slot window at a time
+func TransposeWindow(rows []*Set, dst []uint64) {
+	if len(rows) > wordBits {
+		panic(fmt.Sprintf("bitset: TransposeWindow of %d rows, at most %d", len(rows), wordBits))
+	}
+	var src [wordBits][]uint64
+	for k, r := range rows {
+		src[k&63] = r.words
+	}
+	var blk [wordBits]uint64
+	for cw := 0; cw*wordBits < len(dst); cw++ {
+		transposeBlock(&blk, src[:len(rows)], cw)
+		copy(dst[cw*wordBits:], blk[:])
+	}
+}
+
+// transposeBlock loads word cw of each of at most 64 rows into blk, zero
+// for a row that ends before it and for the rows beyond len(src), and
+// transposes the block: afterwards bit k of blk[j] is element cw*64+j of
+// row k.
+func transposeBlock(blk *[wordBits]uint64, src [][]uint64, cw int) {
+	for k, w := range src {
+		blk[k&63] = 0
+		if cw < len(w) {
+			blk[k&63] = w[cw]
+		}
+	}
+	for k := len(src); k < wordBits; k++ {
+		blk[k&63] = 0
+	}
+	transpose64(blk)
 }
 
 // transpose64 transposes the 64×64 bit matrix whose row k is a[k], bit j

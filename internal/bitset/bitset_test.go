@@ -496,6 +496,74 @@ func TestTransposeViewsAreSeparate(t *testing.T) {
 	}
 }
 
+// TestTransposeWindowMatchesBitByBit checks TransposeWindow against a
+// bit-by-bit reference for windows of 0, 1, 63 and 64 rows over 0, 1, 63,
+// 64, 65 and 130 columns, with rows that end before, at and beyond the
+// last column and a destination holding stale words. It then reads a
+// 130-row matrix in windows of 64, 64 and 2 rows, the last one short, and
+// requires each window to give the matching word of Transpose.
+func TestTransposeWindowMatchesBitByBit(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	full := func(n int) *Set {
+		s := New(n)
+		for i := 0; i < n; i++ {
+			s.Add(i)
+		}
+		return s
+	}
+	for _, fill := range []string{"one", "random"} {
+		for _, nrows := range []int{0, 1, 63, 64} {
+			for _, cols := range []int{0, 1, 63, 64, 65, 130} {
+				rows := make([]*Set, nrows)
+				for i := range rows {
+					capacity := []int{40, cols, 200}[i%3]
+					if fill == "one" {
+						rows[i] = full(capacity)
+					} else {
+						rows[i] = randomSet(r, capacity)
+					}
+				}
+				dst := make([]uint64, cols)
+				for j := range dst {
+					dst[j] = ^uint64(0)
+				}
+				TransposeWindow(rows, dst)
+				for j := range dst {
+					want := uint64(0)
+					for k, row := range rows {
+						if row.Contains(j) {
+							want |= 1 << uint(k)
+						}
+					}
+					if dst[j] != want {
+						t.Fatalf("%s %dx%d: column %d = %#x, want %#x", fill, nrows, cols, j, dst[j], want)
+					}
+				}
+			}
+		}
+	}
+	rows := make([]*Set, 130)
+	for i := range rows {
+		rows[i] = randomSet(r, 130)
+	}
+	want := Transpose(rows, 130)
+	dst := make([]uint64, 130)
+	for lo := 0; lo < len(rows); lo += 64 {
+		TransposeWindow(rows[lo:min(lo+64, len(rows))], dst)
+		for j := range dst {
+			if w := want[j].Words()[lo/64]; dst[j] != w {
+				t.Fatalf("window at row %d: column %d = %#x, Transpose has %#x", lo, j, dst[j], w)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TransposeWindow of 65 rows did not panic")
+		}
+	}()
+	TransposeWindow(rows[:65], dst)
+}
+
 func BenchmarkTranspose(b *testing.B) {
 	// About the shape of a campaign schedule's per-slot sets: 2048 slots
 	// over 8192 nodes, a quarter of them set.

@@ -259,8 +259,10 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 // point of the class runs Construct on one base. Polynomial jobs go
 // through the cross-campaign cache instead when one is supplied; every
 // other construction is then held to the cache's limits, checked from
-// closed forms before anything is materialized. Both layers are
-// singleflight under concurrency.
+// closed forms before anything is materialized. Without a cache the key
+// is validated against TrustedLimits, so a grid point outside its class
+// (D >= n, say) fails with the error a cache would give, not a panic in
+// the build. Both layers are singleflight under concurrency.
 func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
@@ -272,7 +274,11 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds
 		key.alphaT, key.alphaR, key.strategy = spec.AlphaT, spec.AlphaR, schedcache.StrategyName(strategy)
 	}
 	ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-	if cache != nil {
+	if cache == nil {
+		if err := schedcache.TrustedLimits.Validate(ck); err != nil {
+			return nil, err
+		}
+	} else {
 		if spec.Construction == "polynomial" {
 			// Get validates against the cache's own limits — serving bounds
 			// for HTTP-fed caches, TrustedLimits for the local CLIs.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	ttdc "repro"
+	"repro/internal/schedcache"
 	"repro/internal/stats"
 )
 
@@ -63,6 +65,43 @@ func TestJobsJournalMatchesExecuteJob(t *testing.T) {
 	} {
 		if !strings.Contains(all, failure) {
 			t.Errorf("no job failed with %q; the grid lost a failing point", failure)
+		}
+	}
+}
+
+// TestOutOfClassJobsFailWithoutCache runs analysis jobs whose D is at
+// least n, for each base construction, through the paths that have no
+// schedule cache — ExecuteJob and Jobs(c, nil) with Run — and through a
+// trusted cache. Every path must fail each job with the cache's validation
+// error, never record a panic from inside the build.
+func TestOutOfClassJobsFailWithoutCache(t *testing.T) {
+	const want = "schedcache: D = 20 outside [1, 8]"
+	for _, construction := range []string{"tdma", "steiner", "polynomial"} {
+		c := &Campaign{Name: "outside", Construction: construction, N: []int{9}, D: []int{20}, Workload: "analysis", Seed: 3}
+		specs, err := c.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cache := range []*schedcache.Cache[*ttdc.Schedule]{nil, schedcache.NewTrusted(4)} {
+			if _, err := ExecuteJob(context.Background(), specs[0], 1, cache); err == nil || err.Error() != want {
+				t.Errorf("%s: ExecuteJob (cache %v) error = %v, want %q", construction, cache != nil, err, want)
+			}
+		}
+		jobs, err := Jobs(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := New(Options{Workers: 2}).Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range rep.Records {
+			if rec.Status != StatusFail || rec.Error != want {
+				t.Errorf("%s: record %s = %s %q, want a failure with %q", construction, rec.ID, rec.Status, rec.Error, want)
+			}
+			if strings.HasPrefix(rec.Error, "panic:") {
+				t.Errorf("%s: record %s journaled a panic", construction, rec.ID)
+			}
 		}
 	}
 }

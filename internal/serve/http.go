@@ -490,6 +490,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"cache":            st,
 		"artifacts":        st,
 		"engine":           s.svc.Jobs().metrics(),
+		"jobs_cache":       s.svc.Jobs().cache.Stats(),
 		"requests":         s.requests.Load(),
 		"not_modified":     s.notModified.Load(),
 		"schedule_latency": s.latency.snapshot(),

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/schedcache"
 )
 
 func postCampaign(t *testing.T, ts *httptest.Server, doc string) submitResponse {
@@ -189,6 +190,52 @@ func TestJobsListAndMetrics(t *testing.T) {
 	}
 	if metrics.Engine["campaigns"] != 3 || metrics.Engine["jobs_done"] != 3 {
 		t.Errorf("engine metrics = %v", metrics.Engine)
+	}
+}
+
+// TestJobsCacheBytesBound: campaign runs' schedule cache is held to the
+// service's byte budget and reports under "jobs_cache" in /metrics. The
+// campaigns' schedules outweigh the budget several times over; what stays
+// resident is within it, and the most recent schedule fits and stays.
+func TestJobsCacheBytesBound(t *testing.T) {
+	const budget = 1 << 20
+	ts := httptest.NewServer(NewHandler(NewServiceBytes(64, budget), Options{}))
+	defer ts.Close()
+	var scheduleBytes int64
+	for n := 124; n >= 64; n -= 10 {
+		s, err := schedcache.Build(schedcache.Key{N: n, D: 2, AlphaT: 2, AlphaR: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheduleBytes += schedcache.ScheduleBytes(s)
+		sub := postCampaign(t, ts, fmt.Sprintf(`{"n":[%d],"d":[2],"duty":[{"alphaT":2,"alphaR":4}],"workload":"analysis"}`, n))
+		if st := awaitDone(t, ts, sub.ID); st.State != stateDone || len(st.FailedJobs) != 0 {
+			t.Fatalf("n=%d: state %s, failed %v", n, st.State, st.FailedJobs)
+		}
+	}
+	if scheduleBytes <= 2*budget {
+		t.Fatalf("the campaigns' schedules total %d bytes; the test needs well over the %d budget", scheduleBytes, budget)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() //nolint:errcheck // test
+	var metrics struct {
+		JobsCache *schedcache.Stats `json:"jobs_cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	st := metrics.JobsCache
+	if st == nil {
+		t.Fatal(`/metrics has no "jobs_cache" block`)
+	}
+	if st.CapacityBytes != budget || st.Bytes > budget {
+		t.Fatalf("jobs cache holds %d bytes against a %d-byte bound, want at most %d: %+v", st.Bytes, st.CapacityBytes, budget, st)
+	}
+	if st.Constructions != 7 || st.Entries == 0 || st.Evictions == 0 {
+		t.Fatalf("want seven builds, the last schedule resident and earlier ones evicted: %+v", st)
 	}
 }
 

@@ -81,14 +81,16 @@ type Service struct {
 // NewService builds a service whose artifact cache holds at most capacity
 // artifacts (schedcache.DefaultCapacity when <= 0) within
 // DefaultArtifactBytes. Campaign runs get a schedule cache of their own
-// with the same capacity and serving limits.
+// with the same capacity, byte budget and serving limits.
 func NewService(capacity int) *Service {
 	return NewServiceBytes(capacity, 0)
 }
 
-// NewServiceBytes is NewService with an explicit artifact-cache byte
-// budget (<= 0 means DefaultArtifactBytes). The budget covers each
-// artifact's schedule as well as its encodings.
+// NewServiceBytes is NewService with an explicit byte budget (<= 0 means
+// DefaultArtifactBytes). The artifact cache holds each artifact's schedule
+// and its encodings within it, and the campaign runs' schedule cache,
+// sized by schedcache.ScheduleBytes, holds its schedules within another
+// budget of the same size.
 func NewServiceBytes(capacity int, artifactBytes int64) *Service {
 	if artifactBytes <= 0 {
 		artifactBytes = DefaultArtifactBytes
@@ -101,7 +103,13 @@ func NewServiceBytes(capacity int, artifactBytes int64) *Service {
 			Build:    newArtifact,
 			Size:     (*Artifact).bytes,
 		}),
-		jobs: NewJobs(schedcache.New(capacity)),
+		jobs: NewJobs(schedcache.NewCache(schedcache.Config[*core.Schedule]{
+			Capacity: capacity,
+			MaxBytes: artifactBytes,
+			Limits:   schedcache.ServingLimits,
+			Build:    schedcache.Build,
+			Size:     schedcache.ScheduleBytes,
+		})),
 	}
 }
 

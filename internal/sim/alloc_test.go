@@ -7,8 +7,13 @@
 package sim
 
 import (
+	"os"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -81,5 +86,68 @@ func TestKernelAllocsWarm(t *testing.T) {
 
 	if sinkSat == nil || sinkCC == nil {
 		t.Fatal("measured runs returned no results")
+	}
+}
+
+// TestSaturationKernelMemory pins what a campaign saturation job costs the
+// simulator in memory: on a fresh Construct output of the campaign's
+// N(8300, 2), (250, 2000) class, building the kernel and one Run, after a
+// warm-up run on another schedule of the same n, allocate less than one
+// n·⌈L/64⌉-word per-node view of the schedule. The kernels read the slot
+// sets 64 slots at a time and never ask a schedule for its node views, so
+// neither the transposes nor the views they would leave behind appear.
+func TestSaturationKernelMemory(t *testing.T) {
+	for _, file := range []string{"fastpath.go", "fastcc.go"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []string{".Tran(", ".Recv("} {
+			if strings.Contains(string(src), call) {
+				t.Errorf("%s calls %s: the kernels must read slot sets, not node views", file, call)
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("builds campaign-sized schedules")
+	}
+	const n, d = 8300, 2
+	base := polySchedule(t, n, d)
+	g := topology.Regularish(n, d)
+	warm, err := core.Construct(base, core.ConstructOptions{AlphaT: 400, AlphaR: 2500, D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.Construct(base, core.ConstructOptions{AlphaT: 250, AlphaR: 2000, D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No collection from the warm-up on, so the pooled scratch it leaves
+	// is not dropped before the measured run. (Even a run that finds the
+	// pool empty, on another P, allocates under one view: about 1 MB of
+	// scratch and result at this size.)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	wk, err := NewSaturationKernel(warm, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sinkSat, err = wk.Run(g, 2, DefaultEnergy()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k, err := NewSaturationKernel(fresh, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sinkSat, err = k.Run(g, 2, DefaultEnergy()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	view := uint64(n*((fresh.L()+63)/64)) * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got >= view {
+		t.Errorf("kernel build + warm Run allocated %d bytes, want < %d (one n·⌈L/64⌉-word view at L = %d)", got, view, fresh.L())
+	} else {
+		t.Logf("kernel build + warm Run allocated %d bytes; one view is %d", got, view)
 	}
 }

@@ -119,3 +119,36 @@ func TestSaturationScale100k(t *testing.T) {
 		t.Fatalf("n=100000 frame took %v, want minutes on one core", elapsed)
 	}
 }
+
+// BenchmarkSaturationJob is the simulator's share of one campaign
+// saturation job: the kernel build and one two-frame Run on a fresh
+// Construct output of the campaign's N(8300, 2), (250, 2000) class, on its
+// CSR regular topology. Each iteration constructs its schedule outside the
+// timer, so nothing a schedule derives on first read carries over from
+// the previous iteration.
+func BenchmarkSaturationJob(b *testing.B) {
+	const n, d = 8300, 2
+	base := benchPolySchedule(b, n, d)
+	g := topology.Regularish(n, d)
+	opts := core.ConstructOptions{AlphaT: 250, AlphaR: 2000, D: d}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := core.Construct(base, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		k, err := NewSaturationKernel(s, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if benchSat, err = k.Run(g, 2, DefaultEnergy()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSat keeps the measured runs from being optimized away.
+var benchSat *SaturationResult

@@ -148,6 +148,61 @@ func TestSaturationDifferentialMatrix(t *testing.T) {
 	}
 }
 
+// roundRobinSchedule is the non-sleeping frame of l slots in which slot i's
+// only transmitter is node i mod n.
+func roundRobinSchedule(t *testing.T, n, l int) *core.Schedule {
+	t.Helper()
+	tx := make([][]int, l)
+	for i := range tx {
+		tx[i] = []int{i % n}
+	}
+	s, err := core.NonSleeping(n, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSaturationDifferentialWindowEdges holds the kernel, which reads a
+// frame 64 slots at a time, to the reference loop at frame lengths on and
+// around a window edge. On 12-node graphs a round-robin frame gives every
+// link a delivery every 12 slots, so in-frame gaps span the edges at slots
+// 64 and 128 and the wrap gap follows L mod 12; a random frame adds
+// collisions and uneven gaps. TDMA at n = 130 gives each link one delivery
+// per frame, so its wrap gap spans every window. A Construct output of
+// 147 slots runs on 100-node graphs, fewer nodes than its universe.
+func TestSaturationDifferentialWindowEdges(t *testing.T) {
+	type schedCase struct {
+		s *core.Schedule
+		n int // graph size
+	}
+	const n = 12
+	cases := map[string]schedCase{
+		"tdma-L130":       {tdmaSchedule(t, 130), 130},
+		"duty-20-40-L147": {dutySchedule(t, 130, 3, 20, 40), 100},
+	}
+	for _, l := range []int{63, 64, 65, 129, 130} {
+		random, err := fuzzSchedule(n, l, []byte{0x1b, 0x6c, 0x9e, 0x27, 0x55, 0xa3, 0x0f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("roundrobin-L%d", l)] = schedCase{roundRobinSchedule(t, n, l), n}
+		cases[fmt.Sprintf("random-L%d", l)] = schedCase{random, n}
+	}
+	if l := cases["duty-20-40-L147"].s.L(); l != 147 {
+		t.Fatalf("Construct output has L = %d, want 147", l)
+	}
+	for sname, c := range cases {
+		for gname, g := range diffTopologies(t, c.n) {
+			for _, frames := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%s/frames=%d", sname, gname, frames), func(t *testing.T) {
+					assertSaturationIdentical(t, g, c.s, frames, DefaultEnergy())
+				})
+			}
+		}
+	}
+}
+
 // TestConvergecastDifferentialMatrix sweeps the traffic knobs — rate, queue
 // bound, warmup, phase cycling, seed — across topology classes and duty
 // points, asserting the fast path matches the reference loop bit for bit.
@@ -289,6 +344,61 @@ func TestShardedKernelsWordRanges(t *testing.T) {
 	}
 }
 
+// TestShardedKernelsAcrossWindows is TestShardedKernelsWordRanges at frame
+// lengths beyond one 64-slot window: a Construct output of L = 147 (two
+// full windows and a short one) and TDMA at L = 130, on three 64-node
+// receiver words. Every shard resolves every window after the calling
+// goroutine transposes it, so `make race-sim-par` runs this under the race
+// detector to show the per-window barrier orders the transposes before the
+// shards' reads and the shards' writes before the next window.
+func TestShardedKernelsAcrossWindows(t *testing.T) {
+	const n = 130
+	schedules := map[string]*core.Schedule{
+		"duty-20-40": dutySchedule(t, n, 3, 20, 40),
+		"tdma":       tdmaSchedule(t, n),
+	}
+	graphs := map[string]*topology.Graph{
+		"ring":    topology.Ring(n),
+		"regular": topology.Regularish(n, 4),
+	}
+	ccCfg := ConvergecastConfig{Sink: 5, Rate: 0.3, Frames: 2, Seed: 13}
+	for sname, s := range schedules {
+		for gname, g := range graphs {
+			for repr, gg := range map[string]*topology.Graph{"dense": g, "csr": g.Compress()} {
+				t.Run(sname+"/"+gname+"/"+repr, func(t *testing.T) {
+					satSeq, err := RunSaturationSharded(gg, s, 3, DefaultEnergy(), 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := ccCfg
+					cfg.Shards = 1
+					ccSeq, err := RunConvergecast(gg, s, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, shards := range []int{2, 3, -1} {
+						satPar, err := RunSaturationSharded(gg, s, 3, DefaultEnergy(), shards)
+						if err != nil {
+							t.Fatalf("shards=%d: %v", shards, err)
+						}
+						if !reflect.DeepEqual(satPar, satSeq) {
+							t.Fatalf("saturation shards=%d diverged from shards=1", shards)
+						}
+						cfg.Shards = shards
+						ccPar, err := RunConvergecast(gg, s, cfg)
+						if err != nil {
+							t.Fatalf("shards=%d: %v", shards, err)
+						}
+						if !reflect.DeepEqual(ccPar, ccSeq) {
+							t.Fatalf("convergecast shards=%d diverged from shards=1", shards)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // fuzzSchedule decodes 2 bits per (node, slot) into a schedule: 1 →
 // transmit, 2 → receive, 0/3 → sleep. Disjointness is structural, so
 // FromSets always accepts.
@@ -345,12 +455,17 @@ func FuzzSimEquivalence(f *testing.F) {
 	f.Add([]byte{7, 3, 77, 128, 0x24, 0x8d, 0xe1, 0x5a, 0x36, 0x6d})
 	f.Add([]byte{8, 4, 31, 65, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb})  // parallel-kernel seed: Shards = 2
 	f.Add([]byte{9, 0x83, 6, 6, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // low-rate seed: data[1] >= 0x80
+	f.Add([]byte{0x89, 4, 7, 5, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // two-window seed: data[0] >= 0x80
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
 		n := 3 + int(data[0])%10 // 3..12
 		l := 1 + int(data[1])%6  // 1..6
+		if data[0] >= 0x80 {
+			// 65..70: the kernels read the frame in two 64-slot windows.
+			l += wordBits
+		}
 		seed := uint64(data[2])
 		extra := int(data[3]) % 8
 		s, err := fuzzSchedule(n, l, data[4:])

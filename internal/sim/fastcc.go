@@ -40,9 +40,9 @@ type ConvergecastKernel struct {
 	// into it with no per-node pointer chase. nil on compressed graphs,
 	// which keep their CSR rows.
 	adjW []uint64
-	// rxPerFrame[v] = |recv(v) \ tran(v)|: the Receive role is independent
-	// of traffic, so each node's whole-run receive census is fixed per
-	// frame at build time.
+	// rxPerFrame[v] counts the frame slots i with v ∈ R[i], v's
+	// Receive-role slots: the role is independent of traffic, so each
+	// node's whole-run receive census is fixed per frame at build time.
 	rxPerFrame []int
 }
 
@@ -96,24 +96,24 @@ func NewConvergecastKernel(g *topology.Graph, s *core.Schedule, sink int) (*Conv
 			copy(k.adjW[v*nw:(v+1)*nw], g.NeighborWords(v))
 		}
 	}
-	for v := 0; v < n; v++ {
-		tw := s.Tran(v).Words()
-		rw := s.Recv(v).Words()
-		rx := 0
-		for j := range rw {
-			rx += bits.OnesCount64(rw[j] &^ tw[j])
-		}
-		k.rxPerFrame[v] = rx
-		if v == sink {
-			continue
-		}
-		p := parent[v]
-		s.Tran(v).ForEach(func(i int) bool {
-			if k.rxRole[i*nw+p>>6]>>uint(p&63)&1 == 1 {
+	// The per-node census and the eligibility rows come from the slot sets
+	// 64 slots at a time: bit k of tw[v] (rw[v]) says v transmits
+	// (receives) in slot base+k. The slot sets are disjoint, so rw[v] is
+	// v's Receive role, and v ≠ sink is eligible wherever it transmits
+	// while its parent receives.
+	tw, rw := make([]uint64, n), make([]uint64, n)
+	for base := 0; base < L; base += wordBits {
+		transposeSlotWindow(s, base, tw, rw)
+		for v := 0; v < n; v++ {
+			k.rxPerFrame[v] += bits.OnesCount64(rw[v])
+			if v == sink {
+				continue
+			}
+			for e := tw[v] & rw[parent[v]]; e != 0; e &= e - 1 {
+				i := base + bits.TrailingZeros64(e)
 				k.txElig[i*nw+v>>6] |= uint64(1) << uint(v&63)
 			}
-			return true
-		})
+		}
 	}
 	return k, nil
 }
@@ -180,33 +180,6 @@ func (sc *ccFastScratch) reset(n, nw int) {
 		sc.qhead[v] = 0
 		sc.queues[v] = sc.queues[v][:0]
 	}
-}
-
-// ccShardWorkers runs the persistent contention workers of a sharded run.
-// Each worker owns a contiguous word-aligned receiver range: it scans the
-// slot's full transmitter words but accumulates contention only into the
-// once/many counter words covering its own range, so every scratch word is
-// written by exactly one worker. The main loop publishes the slot index on
-// each worker's channel and joins the WaitGroup before resolving
-// receptions sequentially.
-type ccShardWorkers struct {
-	work []chan int
-	done sync.WaitGroup
-}
-
-func (k *ConvergecastKernel) startShardWorkers(sc *ccFastScratch, ranges [][2]int) *ccShardWorkers {
-	w := &ccShardWorkers{work: make([]chan int, len(ranges))}
-	for si, r := range ranges {
-		ch := make(chan int, 1)
-		w.work[si] = ch
-		go func(lo, hi int, ch chan int) {
-			for i := range ch {
-				k.contentionRange(sc, i, lo, hi)
-				w.done.Done()
-			}
-		}(r[0], r[1], ch)
-	}
-	return w
 }
 
 // contentionRange accumulates frame-slot i's per-receiver contention into
@@ -306,15 +279,13 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 		sc.rxCnt[v] = k.rxPerFrame[v] * (cfg.WarmupFrames + cfg.Frames)
 	}
 
-	var workers *ccShardWorkers
+	var workers *shardWorkers
 	if ranges := shardRanges(n, resolveShards(cfg.Shards, n)); len(ranges) > 1 {
-		//lint:ignore poolescape workers hold sc only between the channel send and wg.Done of each slot; the deferred close + drained WaitGroup below retires every worker before the deferred Put runs
-		workers = k.startShardWorkers(sc, ranges)
-		defer func() {
-			for _, ch := range workers.work {
-				close(ch)
-			}
-		}()
+		//lint:ignore poolescape the workers touch sc only inside round, which joins every shard before it returns; stop retires them before the deferred Put releases sc
+		workers = startShardWorkers(len(ranges), func(si, i int) {
+			k.contentionRange(sc, i, ranges[si][0], ranges[si][1])
+		})
+		defer workers.stop()
 	}
 
 	// The Poisson inversion limit e^-rate depends only on the slot's rate,
@@ -404,13 +375,9 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 			continue
 		}
 		// Count per-receiver contention into the once/many words: across
-		// the worker ranges when sharded, in one pass otherwise.
+		// the shard ranges when sharded, in one pass otherwise.
 		if workers != nil {
-			workers.done.Add(len(workers.work))
-			for _, ch := range workers.work {
-				ch <- i
-			}
-			workers.done.Wait()
+			workers.round(i)
 		} else {
 			k.contentionRange(sc, i, 0, n)
 		}

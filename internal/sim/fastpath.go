@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -69,24 +70,22 @@ func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, 
 }
 
 // SaturationKernel is the topology-independent precomputation of the
-// saturation fast path: per-node transmit-slot and receive-slot words,
-// both read in place from the schedule's node views, and the per-frame role
-// census. A kernel is a pure function of (schedule, n); it is immutable
-// after construction and safe for concurrent Run calls, so a campaign can
-// build it once per grid point and share it across every replication's
-// topology on the engine worker pool.
+// saturation fast path: the schedule, whose slot sets T[i] and R[i] a run
+// reads in place 64 slots at a time, and the per-frame role census of the
+// graph's n nodes. A kernel is a pure function of (schedule, n); it is
+// immutable after construction and safe for concurrent Run calls, so a
+// campaign can build it once per grid point and share it across every
+// replication's topology on the engine worker pool. It never derives the
+// schedule's per-node views.
 type SaturationKernel struct {
-	s  *core.Schedule
-	n  int
-	l  int
-	lw int // words per L-bit slot row
-	// tran[u] and recv[u] alias the schedule's tran(u) and recv(u)
-	// backing words (read-only). Every schedule constructor rejects a node
-	// that both transmits and receives in one slot, so recv(u) is disjoint
-	// from tran(u) and is exactly the slots in which u has the Receive role.
-	tran, recv [][]uint64
-	// txPerFrame and rxPerFrame are Σ_u |tran(u)| and Σ_u |recv(u)|: the
-	// per-frame node-slot role census that prices energy and duty cycle.
+	s *core.Schedule
+	n int
+	l int
+	// txPerFrame and rxPerFrame are Σ_i |T[i] ∩ [0,n)| and
+	// Σ_i |R[i] ∩ [0,n)|: the per-frame node-slot role census that prices
+	// energy and duty cycle. Every schedule constructor rejects a node
+	// that both transmits and receives in one slot, so R[i] is exactly the
+	// slot's Receive-role nodes.
 	txPerFrame, rxPerFrame int
 }
 
@@ -102,75 +101,123 @@ func NewSaturationKernel(s *core.Schedule, n int) (*SaturationKernel, error) {
 		return nil, fmt.Errorf("sim: graph has %d nodes but schedule supports %d", n, s.N())
 	}
 	l := s.L()
-	k := &SaturationKernel{
-		s:    s,
-		n:    n,
-		l:    l,
-		lw:   (l + wordBits - 1) / wordBits,
-		tran: make([][]uint64, n),
-		recv: make([][]uint64, n),
-	}
-	for u := 0; u < n; u++ {
-		k.tran[u] = s.Tran(u).Words()
-		k.recv[u] = s.Recv(u).Words()
-		for j := 0; j < k.lw; j++ {
-			k.txPerFrame += bits.OnesCount64(k.tran[u][j])
-			k.rxPerFrame += bits.OnesCount64(k.recv[u][j])
-		}
+	k := &SaturationKernel{s: s, n: n, l: l}
+	for i := 0; i < l; i++ {
+		k.txPerFrame += countBelow(s.T(i).Words(), n)
+		k.rxPerFrame += countBelow(s.R(i).Words(), n)
 	}
 	return k, nil
+}
+
+// countBelow returns the number of set bits below bit n of a set's words.
+func countBelow(words []uint64, n int) int {
+	c := 0
+	full := n / wordBits
+	for _, w := range words[:full] {
+		c += bits.OnesCount64(w)
+	}
+	if r := n % wordBits; r != 0 {
+		c += bits.OnesCount64(words[full] & (uint64(1)<<uint(r) - 1))
+	}
+	return c
+}
+
+// transposeSlotWindow transposes the slot sets of frame slots
+// [lo, lo+64) ∩ [0, L) into one word per node: bit k of tw[v] is set
+// exactly when v ∈ T[lo+k], and of rw[v] when v ∈ R[lo+k]. Nodes at or
+// beyond len(tw) (len(rw)) are ignored, so a graph smaller than the
+// schedule's universe reads only its own nodes.
+func transposeSlotWindow(s *core.Schedule, lo int, tw, rw []uint64) {
+	var t, r [wordBits]*bitset.Set
+	m := min(wordBits, s.L()-lo)
+	for k := 0; k < m; k++ {
+		t[k], r[k] = s.T(lo+k), s.R(lo+k)
+	}
+	bitset.TransposeWindow(t[:m], tw)
+	bitset.TransposeWindow(r[:m], rw)
 }
 
 // N returns the node-universe size the kernel was built for.
 func (k *SaturationKernel) N() int { return k.n }
 
+// linkRec is one directed link's delivery record over a frame: how many
+// of the frame's slots deliver on it, and the first and last of them, as
+// frame slots. A frame has one slot set pointer per slot, so its length
+// is far below 2³¹ and 32 bits hold every field.
+type linkRec struct{ cnt, first, last int32 }
+
 // satFastScratch is the per-run working state of the fast path, pooled so a
 // campaign of many runs reuses one buffer set per worker.
 type satFastScratch struct {
-	offset, cursor []int // u-major link-id assignment during the transpose
-	vmaj           []int // whole-run deliveries per directed link, v-major
-	linkCounts     []int // whole-run deliveries per directed link, u-major
+	tw, rw     []uint64  // the current 64-slot window of T and R, one word per node
+	offset     []int     // offset[u]: id of u's first link; offset[n] is the link count
+	cursor     []int     // per-u link-id cursor of the v-major → u-major pass
+	nbr        []int32   // dense graphs: every neighbour row, row v at offset[v]
+	rec        []linkRec // per directed link, v-major
+	linkCounts []int     // whole-run deliveries per directed link, u-major
+	colls      []int     // per shard: collision slots per frame
+	gaps       []int     // per shard: largest in-frame inter-delivery gap
 }
 
 var satFastPool = sync.Pool{New: func() any { return new(satFastScratch) }}
 
-// reset sizes the scratch for n nodes and nLinks directed links, and clears
-// what must start zeroed.
-func (sc *satFastScratch) reset(n, nLinks int) {
-	if cap(sc.offset) < n {
-		sc.offset = make([]int, n)
-		sc.cursor = make([]int, n)
+// grow returns s resized to n elements, reusing its backing array when it
+// is large enough. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sc.offset = sc.offset[:n]
-	sc.cursor = sc.cursor[:n]
-	for i := range sc.cursor {
-		sc.cursor[i] = 0
-	}
-	if cap(sc.vmaj) < nLinks {
-		sc.vmaj = make([]int, nLinks)
-		sc.linkCounts = make([]int, nLinks)
-	}
-	sc.vmaj = sc.vmaj[:nLinks]
-	sc.linkCounts = sc.linkCounts[:nLinks]
+	return s[:n]
 }
 
-// satShardScratch is one shard worker's private slot rows, pooled
-// separately from the run-wide scratch so shards=N runs borrow N row sets.
-type satShardScratch struct {
-	once, many, x1 []uint64 // L-bit rows: transmit-count parity, ≥2, exactly-1
+// reset sizes the scratch for a run on g split into the given number of
+// shards: the link offsets (u-major ids; in an undirected graph the same
+// prefix sums give each receiver's v-major span), a dense graph's flat
+// neighbour rows, and zeroed link records, cursors and shard counters.
+// It returns the number of directed links.
+func (sc *satFastScratch) reset(g *topology.Graph, shards int) int {
+	n := g.N()
+	sc.tw = grow(sc.tw, n)
+	sc.rw = grow(sc.rw, n)
+	sc.offset = grow(sc.offset, n+1)
+	sc.cursor = grow(sc.cursor, n)
+	clear(sc.cursor)
+	nLinks := 0
+	if g.IsCompressed() {
+		for u := 0; u < n; u++ {
+			sc.offset[u] = nLinks
+			nLinks += g.Degree(u)
+		}
+	} else {
+		sc.nbr = sc.nbr[:0]
+		for u := 0; u < n; u++ {
+			sc.offset[u] = len(sc.nbr)
+			for wi, w := range g.NeighborWords(u) {
+				for ; w != 0; w &= w - 1 {
+					sc.nbr = append(sc.nbr, int32(wi*wordBits+bits.TrailingZeros64(w)))
+				}
+			}
+		}
+		nLinks = len(sc.nbr)
+	}
+	sc.offset[n] = nLinks
+	sc.rec = grow(sc.rec, nLinks)
+	clear(sc.rec)
+	sc.linkCounts = grow(sc.linkCounts, nLinks)
+	sc.colls = grow(sc.colls, shards)
+	sc.gaps = grow(sc.gaps, shards)
+	clear(sc.colls)
+	clear(sc.gaps)
+	return nLinks
 }
 
-var satShardPool = sync.Pool{New: func() any { return new(satShardScratch) }}
-
-func (ss *satShardScratch) reset(lw int) {
-	if cap(ss.once) < lw {
-		ss.once = make([]uint64, lw)
-		ss.many = make([]uint64, lw)
-		ss.x1 = make([]uint64, lw)
+// neighbors returns v's sorted neighbour row: the CSR row itself on a
+// compressed graph, the scratch copy on a dense one.
+func (sc *satFastScratch) neighbors(g *topology.Graph, v int) []int32 {
+	if g.IsCompressed() {
+		return g.NeighborRow(v)
 	}
-	ss.once = ss.once[:lw]
-	ss.many = ss.many[:lw]
-	ss.x1 = ss.x1[:lw]
+	return sc.nbr[sc.offset[v]:sc.offset[v+1]]
 }
 
 // Run executes a saturation run on g using the word-parallel fast path. The
@@ -185,90 +232,80 @@ func (k *SaturationKernel) Run(g *topology.Graph, frames int, em EnergyModel) (*
 	return k.RunSharded(g, frames, em, 1)
 }
 
-// resolveRange resolves the receiver rows [lo, hi) of one frame: for each
-// receiver v, a saturating two-bit counter over its neighbours'
-// transmit-slot words yields the slots with exactly one transmitting
-// neighbour (once &^ many) and with two or more (many) in
-// O(deg(v) · L/64) word operations, then each incoming link's delivery
-// count and inter-delivery gaps are read off x1 ∩ tran(u). Whole-run
-// per-link counts are written to vmaj in v-major order (the write range is
-// vmaj[inOff[lo]:inOff[hi]], disjoint across shards). Returns the range's
-// per-frame collision-slot count and its maximum inter-delivery gap.
+// resolveWindow resolves the receivers [lo, hi) over the 64 frame slots
+// from base, whose transmit and receive words sc.tw and sc.rw hold: for
+// each receiver v, a saturating two-bit counter over its neighbours'
+// transmit words yields the slots with exactly one transmitting neighbour
+// (once &^ many) and with two or more (many), and each incoming link u→v
+// delivers in x1 ∩ tw[u] (if u is the unique transmitting neighbour of a
+// slot and u transmits, u is the sender). The deliveries update the link's
+// v-major record in sc.rec[offset[lo]:offset[hi]], disjoint across shards.
+// Records hold frame slots, so a gap that spans a window edge is measured
+// like any other. The window's collision slots and its largest
+// inter-delivery gap within the frame go to shard si's counters.
 //
-//ttdc:hotpath per-shard saturation frame resolution; all rows come pooled and presized from the caller
-func (k *SaturationKernel) resolveRange(g *topology.Graph, lo, hi, frames int,
-	ss *satShardScratch, inOff []int, vmaj []int) (collPerFrame, maxGap int) {
-	l := k.l
-	once, many, x1 := ss.once, ss.many, ss.x1
-	id := inOff[lo]
+//ttdc:hotpath per-window saturation resolution of every run; all rows come pooled and presized from the caller
+func resolveWindow(g *topology.Graph, sc *satFastScratch, si, lo, hi, base int) {
+	tw, rw := sc.tw, sc.rw
+	coll, maxGap := 0, 0
 	for v := lo; v < hi; v++ {
-		for j := range once {
-			once[j] = 0
-			many[j] = 0
+		rx := rw[v]
+		if rx == 0 {
+			continue
 		}
-		g.ForEachNeighbor(v, func(u int) bool {
-			tw := k.tran[u]
-			for j := range once {
-				carry := once[j] & tw[j]
-				once[j] ^= tw[j]
-				many[j] |= carry
-			}
-			return true
-		})
-		rx := k.recv[v]
-		for j := range rx {
-			collPerFrame += bits.OnesCount64(rx[j] & many[j])
-			x1[j] = rx[j] & once[j] &^ many[j]
+		nb := sc.neighbors(g, v)
+		var once, many uint64
+		for _, u := range nb {
+			t := tw[u]
+			many |= once & t
+			once ^= t
 		}
-		// Per incoming link u→v: the delivery slots of one frame are
-		// x1 ∩ tran(u) (if u is the unique transmitting neighbour of a
-		// slot and u transmits, u is the sender). Inter-delivery gaps over
-		// the whole run follow from the periodic pattern: consecutive
-		// in-frame gaps, plus the frame-wrap gap when the run has a second
-		// frame for the pattern to repeat into.
-		g.ForEachNeighbor(v, func(u int) bool {
-			tw := k.tran[u]
-			cnt := 0
-			first, prev := -1, -1
-			for j := range x1 {
-				w := x1[j] & tw[j]
-				for w != 0 {
-					b := j*wordBits + bits.TrailingZeros64(w)
-					w &= w - 1
-					if prev >= 0 {
-						if gap := b - prev - 1; gap > maxGap {
-							maxGap = gap
-						}
-					} else {
-						first = b
-					}
-					prev = b
-					cnt++
-				}
+		coll += bits.OnesCount64(rx & many)
+		x1 := rx & once &^ many
+		if x1 == 0 {
+			continue
+		}
+		links := sc.rec[sc.offset[v]:sc.offset[v+1]]
+		for j, u := range nb {
+			w := x1 & tw[u]
+			if w == 0 {
+				continue
 			}
-			if cnt > 0 && frames > 1 {
-				if gap := first + l - prev - 1; gap > maxGap {
+			r := &links[j]
+			b := int32(base + bits.TrailingZeros64(w))
+			if r.cnt == 0 {
+				r.first = b
+			} else if gap := int(b - r.last - 1); gap > maxGap {
+				maxGap = gap
+			}
+			r.cnt += int32(bits.OnesCount64(w))
+			for w &= w - 1; w != 0; w &= w - 1 {
+				next := int32(base + bits.TrailingZeros64(w))
+				if gap := int(next - b - 1); gap > maxGap {
 					maxGap = gap
 				}
+				b = next
 			}
-			vmaj[id] = cnt * frames
-			id++
-			return true
-		})
+			r.last = b
+		}
 	}
-	return collPerFrame, maxGap
+	sc.colls[si] += coll
+	sc.gaps[si] = max(sc.gaps[si], maxGap)
 }
 
-// RunSharded is Run with the receiver-major frame resolution split across
-// the given number of shards (see resolveShards for the count semantics:
-// 0 or 1 sequential, negative one per CPU). Each shard resolves a
-// contiguous word-aligned receiver range into its own pooled slot rows and
-// a disjoint v-major span of the shared per-link counters; the shards'
-// collision and gap counters are then merged in ascending shard order.
-// Integer sums and maxima are associative, so the result is byte-identical
-// at every shard count — RunSharded(g, f, em, n) and Run(g, f, em) return
-// reflect.DeepEqual results (pinned by the differential matrix and fuzz
-// harness in this package).
+// RunSharded is Run with the receiver-major resolution split across the
+// given number of shards (see resolveShards for the count semantics: 0 or
+// 1 sequential, negative one per CPU). The frame is read in 64-slot
+// windows: the calling goroutine transposes each window's T and R slot
+// sets into pooled per-node words, then every shard resolves its
+// contiguous word-aligned receiver range against them (shard 0 on the
+// calling goroutine, the rest on persistent workers) before the next
+// window overwrites them. Each shard writes a disjoint v-major span of the
+// link records and its own collision and gap counters, merged in ascending
+// shard order. Integer sums and maxima are associative, so the result is
+// byte-identical at every shard count — RunSharded(g, f, em, n) and
+// Run(g, f, em) return reflect.DeepEqual results (pinned by the
+// differential matrix and fuzz harness in this package).
 func (k *SaturationKernel) RunSharded(g *topology.Graph, frames int, em EnergyModel, shards int) (*SaturationResult, error) {
 	if g.N() != k.n {
 		return nil, fmt.Errorf("sim: kernel built for %d nodes but graph has %d", k.n, g.N())
@@ -276,66 +313,55 @@ func (k *SaturationKernel) RunSharded(g *topology.Graph, frames int, em EnergyMo
 	if frames < 1 {
 		return nil, fmt.Errorf("sim: frames = %d", frames)
 	}
-	n, lw := k.n, k.lw
+	n, l := k.n, k.l
 	res := &SaturationResult{
 		Frames:        frames,
-		SlotsPerFrame: k.l,
+		SlotsPerFrame: l,
 	}
-	// u-major link ids: offset[u] is the id of u's first outgoing link. The
-	// same prefix array gives the v-major spans (in-neighbours equal
-	// out-neighbours in an undirected graph).
-	nLinks := 0
+	ranges := shardRanges(n, resolveShards(shards, n))
 	sc := satFastPool.Get().(*satFastScratch)
 	defer satFastPool.Put(sc)
-	sc.reset(n, 2*g.EdgeCount())
-	for u := 0; u < n; u++ {
-		sc.offset[u] = nLinks
-		nLinks += g.Degree(u)
+	nLinks := sc.reset(g, len(ranges))
+	var workers *shardWorkers
+	if len(ranges) > 1 {
+		//lint:ignore poolescape the workers read and write sc only inside round, which joins every shard before it returns; stop retires them before the deferred Put releases sc
+		workers = startShardWorkers(len(ranges), func(si, base int) {
+			resolveWindow(g, sc, si, ranges[si][0], ranges[si][1], base)
+		})
+		defer workers.stop()
 	}
-	collPerFrame := 0
-	maxGap := 0
-	ranges := shardRanges(n, resolveShards(shards, n))
-	if len(ranges) == 1 {
-		ss := satShardPool.Get().(*satShardScratch)
-		ss.reset(lw)
-		collPerFrame, maxGap = k.resolveRange(g, 0, n, frames, ss, sc.offset, sc.vmaj)
-		satShardPool.Put(ss)
-	} else {
-		colls := make([]int, len(ranges))
-		gaps := make([]int, len(ranges))
-		var wg sync.WaitGroup
-		for si, r := range ranges {
-			wg.Add(1)
-			//lint:ignore poolescape the goroutine reads sc.offset/sc.vmaj only until wg.Done; wg.Wait below joins every shard before the deferred Put releases sc
-			go func(si, lo, hi int) {
-				defer wg.Done()
-				ss := satShardPool.Get().(*satShardScratch)
-				ss.reset(lw)
-				colls[si], gaps[si] = k.resolveRange(g, lo, hi, frames, ss, sc.offset, sc.vmaj)
-				satShardPool.Put(ss)
-			}(si, r[0], r[1])
-		}
-		wg.Wait()
-		// Deterministic ascending-shard reduction (order-insensitive for
-		// integer + and max, kept explicit as the documented discipline).
-		for si := range ranges {
-			collPerFrame += colls[si]
-			if gaps[si] > maxGap {
-				maxGap = gaps[si]
-			}
+	for base := 0; base < l; base += wordBits {
+		transposeSlotWindow(k.s, base, sc.tw, sc.rw)
+		if workers != nil {
+			workers.round(base)
+		} else {
+			resolveWindow(g, sc, 0, 0, n, base)
 		}
 	}
-	// Sequential v-major → u-major transpose: the id assignment below visits
-	// links in exactly the order the pre-shard implementation wrote them, so
-	// linkCounts is bit-for-bit the array finishSaturation always consumed.
+	// Deterministic ascending-shard reduction (order-insensitive for
+	// integer + and max, kept explicit as the documented discipline).
+	collPerFrame, maxGap := 0, 0
+	for si := range ranges {
+		collPerFrame += sc.colls[si]
+		maxGap = max(maxGap, sc.gaps[si])
+	}
+	// Sequential v-major → u-major pass: the frame-wrap gap of every link
+	// that delivers (once a second frame exists for the pattern to repeat
+	// into), and whole-run counts in the u-major order finishSaturation
+	// consumes, assigned through a per-u cursor — each u's neighbours
+	// appear in ascending v order across the v-major traversal.
 	id := 0
 	for v := 0; v < n; v++ {
-		g.ForEachNeighbor(v, func(u int) bool {
-			sc.linkCounts[sc.offset[u]+sc.cursor[u]] = sc.vmaj[id]
+		for _, u32 := range sc.neighbors(g, v) {
+			u := int(u32)
+			r := sc.rec[id]
+			if r.cnt > 0 && frames > 1 {
+				maxGap = max(maxGap, int(r.first)+l-int(r.last)-1)
+			}
+			sc.linkCounts[sc.offset[u]+sc.cursor[u]] = int(r.cnt) * frames
 			sc.cursor[u]++
 			id++
-			return true
-		})
+		}
 	}
 	res.CollisionSlots = collPerFrame * frames
 	res.MaxInterDeliveryGap = maxGap

@@ -1,6 +1,9 @@
 package sim
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
 
 // Node-range sharding for the struct-of-arrays kernels. A shard owns a
 // contiguous, word-aligned range of receiver rows [lo, hi): alignment to
@@ -48,4 +51,51 @@ func shardRanges(n, shards int) [][2]int {
 		lo = hi
 	}
 	return out
+}
+
+// shardWorkers runs the rounds of a sharded kernel run on persistent
+// goroutines, one per shard after the first. round(x) calls fn(si, x) for
+// every shard si — shard 0 on the calling goroutine — and returns once all
+// of them have finished, so each round is a barrier: nothing the caller
+// writes next can race a shard's reads, and every shard's writes are
+// visible to the caller. fn must write only what shard si owns.
+type shardWorkers struct {
+	fn   func(si, x int)
+	work []chan int
+	done sync.WaitGroup
+}
+
+// startShardWorkers starts the workers of a run split into the given
+// number of shards (at least two). The caller must call stop once its last
+// round has returned.
+func startShardWorkers(shards int, fn func(si, x int)) *shardWorkers {
+	w := &shardWorkers{fn: fn, work: make([]chan int, shards-1)}
+	for i := range w.work {
+		ch := make(chan int, 1)
+		w.work[i] = ch
+		go func(si int) {
+			for x := range ch {
+				fn(si, x)
+				w.done.Done()
+			}
+		}(i + 1)
+	}
+	return w
+}
+
+// round runs fn(si, x) on every shard and waits for all of them.
+func (w *shardWorkers) round(x int) {
+	w.done.Add(len(w.work))
+	for _, ch := range w.work {
+		ch <- x
+	}
+	w.fn(0, x)
+	w.done.Wait()
+}
+
+// stop retires the workers. No round may be in progress.
+func (w *shardWorkers) stop() {
+	for _, ch := range w.work {
+		close(ch)
+	}
 }
