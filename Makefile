@@ -4,12 +4,18 @@
 
 GO ?= go
 
-.PHONY: check vet build vet-perfbench lint lint-alloc lint-sarif lint-bench test race race-conc race-sim race-sim-par fuzz bench bench-serve bench-scale benchall serve
+.PHONY: check vet vet-cross build vet-perfbench lint lint-alloc lint-sarif lint-bench test race race-conc race-sim race-sim-par fuzz bench bench-serve bench-scale benchall serve
 
-check: vet build vet-perfbench lint lint-alloc test race race-conc race-sim race-sim-par
+check: vet vet-cross build vet-perfbench lint lint-alloc test race race-conc race-sim race-sim-par
 
 vet:
 	$(GO) vet ./...
+
+# The tree must also build where internal/stats has no assembly: vet the
+# whole module, tests included, for arm64 (no cgo, offline), so a
+# per-architecture declaration without its fallback file fails here.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -104,7 +110,9 @@ fuzz:
 # pairs for the sweep and campaign engines, cold schedule builds, and the
 # serving tier's cold artifact pass over the ring lattice) and
 # BENCH_core.json (naive-vs-prefix-cached kernel pairs for the
-# Requirement/throughput verifiers).
+# Requirement/throughput verifiers). BENCH_sim.json (the simulator
+# kernels) is merged, not replaced, so the TTDC_SCALE entries that
+# `make bench-scale` adds stay in it.
 # Time-based -benchtime: fixed tiny iteration counts (3x) made the
 # Workers1/WorkersMax ratio a noise measurement — one GC pause in a
 # 3-iteration run moved the pair by ±20%. Non-gating: runs alongside
@@ -115,7 +123,7 @@ bench: lint-bench bench-serve
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/core \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_core.json
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/sim \
-		| $(GO) run ./cmd/ttdcbench -o BENCH_sim.json
+		| $(GO) run ./cmd/ttdcbench -merge -o BENCH_sim.json
 
 # The TTDC_SCALE campaign: the n=10^5 convergecast grid and the n=10^6
 # saturation frame, one iteration each (the runs are seconds long and

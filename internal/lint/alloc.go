@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -289,6 +291,9 @@ func callSite(p *Program, fi *FuncInfo, call *ast.CallExpr,
 	if p.Funcs[sym] != nil {
 		return // module-internal: the summary fixpoint carries the fact
 	}
+	if p.asmLeaves[sym] {
+		return // leaf assembly: it calls nothing, so nothing allocates
+	}
 	if fn.Pkg() == nil {
 		return // universe methods (error.Error)
 	}
@@ -297,6 +302,110 @@ func callSite(p *Program, fi *FuncInfo, call *ast.CallExpr,
 	}
 	short := shortSym(sym)
 	addSite(call.Pos(), allocExtCall, short, "call to "+short+" allocates")
+}
+
+// asmLeaves returns the symbols of pkg's body-less functions whose
+// assembly is a leaf: their `TEXT ·name` block, in one of the package's
+// own .s files for this GOOS and GOARCH, makes no call (asmCalls). A leaf
+// cannot reach the allocator, so callSite treats a call to one as
+// allocation-free. A body-less function without such a block is judged
+// like any call that leaves the module: it allocates.
+func asmLeaves(pkg *Package) map[string]bool {
+	syms := map[string]string{} // Go name → symbol
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body != nil || fd.Recv != nil {
+				continue
+			}
+			if obj, _ := pkg.Info.Defs[fd.Name].(*types.Func); obj != nil {
+				syms[fd.Name.Name] = symbolOf(obj)
+			}
+		}
+	}
+	if len(syms) == 0 {
+		return nil
+	}
+	names, err := buildFiles(pkg.Dir, ".s", false)
+	if err != nil {
+		return nil // unread assembly proves nothing: the calls stay findings
+	}
+	leaves := map[string]bool{}
+	for _, name := range names {
+		src, err := os.ReadFile(filepath.Join(pkg.Dir, name))
+		if err != nil {
+			continue
+		}
+		for text, calls := range asmCalls(string(src)) {
+			if sym, ok := syms[text]; ok && !calls {
+				leaves[sym] = true
+			}
+		}
+	}
+	return leaves
+}
+
+// asmCalls scans Go assembly source and reports, for each `TEXT ·name`
+// block (the package's own symbols), whether it calls out: a CALL or BL,
+// or a JMP or B to a symbol's (SB) address, which is a tail call. A block
+// runs from its TEXT line to the next one. Macros are not expanded, so a
+// call inside a #define counts against every block of the file.
+func asmCalls(src string) map[string]bool {
+	blocks := map[string]bool{}
+	cur, inMacro, macroCalls := "", false, false
+	for _, line := range strings.Split(src, "\n") {
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
+		}
+		trimmed := strings.TrimSpace(line)
+		if strings.HasPrefix(trimmed, "#define") {
+			inMacro = true
+		}
+		for _, ins := range strings.Split(trimmed, ";") {
+			f := strings.Fields(ins)
+			if len(f) > 0 && strings.HasSuffix(f[0], ":") {
+				f = f[1:] // label
+			}
+			if len(f) == 0 {
+				continue
+			}
+			if f[0] == "TEXT" && !inMacro {
+				cur = ""
+				if len(f) > 1 {
+					if name, ok := strings.CutPrefix(f[1], "·"); ok {
+						if i := strings.IndexAny(name, "(<"); i > 0 {
+							cur = name[:i]
+							blocks[cur] = false
+						}
+					}
+				}
+				continue
+			}
+			calls := false
+			for i, tok := range f {
+				switch tok {
+				case "CALL", "BL":
+					calls = true
+				case "JMP", "B":
+					calls = calls || (i+1 < len(f) && strings.Contains(f[i+1], "(SB)"))
+				}
+			}
+			switch {
+			case !calls:
+			case inMacro:
+				macroCalls = true
+			case cur != "":
+				blocks[cur] = true
+			}
+		}
+		inMacro = inMacro && strings.HasSuffix(trimmed, "\\")
+	}
+	if macroCalls {
+		for name := range blocks {
+			blocks[name] = true
+		}
+	}
+	return blocks
 }
 
 // inLoop reports whether the innermost CFG-backed statement containing pos

@@ -96,6 +96,9 @@ type Program struct {
 	// recursion or an import cycle through test units forces another.
 	order []string
 	byPkg map[*Package][]*FuncInfo
+	// asmLeaves holds the body-less module functions whose assembly makes
+	// no call (see asmLeaves in alloc.go).
+	asmLeaves map[string]bool
 }
 
 // BuildProgram assembles the call graph over pkgs and runs the summary
@@ -103,8 +106,11 @@ type Program struct {
 // never on loader parallelism — which is what pins parallel and serial
 // lint runs byte-identical.
 func BuildProgram(pkgs []*Package) *Program {
-	p := &Program{Funcs: map[string]*FuncInfo{}, byPkg: map[*Package][]*FuncInfo{}}
+	p := &Program{Funcs: map[string]*FuncInfo{}, byPkg: map[*Package][]*FuncInfo{}, asmLeaves: map[string]bool{}}
 	for _, pkg := range pkgs {
+		for sym := range asmLeaves(pkg) {
+			p.asmLeaves[sym] = true
+		}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -188,6 +190,31 @@ func TestLoaderResolvesModuleAndStdlib(t *testing.T) {
 		if a >= b {
 			t.Fatalf("files out of order: %s >= %s", a, b)
 		}
+	}
+}
+
+// TestLoaderBuildConstraints loads a package with one file per
+// architecture and one excluded by //go:build ignore: only the files the
+// go command would build on this GOARCH are read, so it type-checks.
+func TestLoaderBuildConstraints(t *testing.T) {
+	loader, err := NewLoader("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadDir(filepath.Join("testdata", "src", "buildtags"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkgs[0].Files {
+		got = append(got, filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename))
+	}
+	want := []string{"arch_other.go", "tags.go"}
+	if runtime.GOARCH == "amd64" {
+		want[0] = "arch_amd64.go"
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %v, want %v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -179,11 +180,14 @@ func (l *Loader) dirFor(path string) (dir string, internal bool) {
 	return "", false
 }
 
-// parseDir parses the Go files of dir, sorted by name. With tests false it
-// keeps only compile files; with tests true it returns compile files,
-// in-package test files, and external test files as three slices appended
-// in that order by the caller via splitting on package name.
-func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+// buildFiles lists the files of dir with the given extension (".go" or
+// ".s") that the go command would build on this GOOS and GOARCH: go/build
+// applies the _GOOS/_GOARCH name suffixes and //go:build lines, and
+// leaves out names starting with "." or "_". So a package with
+// per-architecture files loads as one consistent set. The names are
+// sorted; with tests false, _test.go files are left out. A file whose
+// header go/build cannot read is kept, so the parser reports its error.
+func buildFiles(dir, ext string, tests bool) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -191,15 +195,29 @@ func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ext) {
 			continue
 		}
 		if !tests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
+		if ok, err := build.Default.MatchFile(dir, name); ok || err != nil {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
+	return names, nil
+}
+
+// parseDir parses the Go files of dir, sorted by name. With tests false it
+// keeps only compile files; with tests true it returns compile files,
+// in-package test files, and external test files as three slices appended
+// in that order by the caller via splitting on package name.
+func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+	names, err := buildFiles(dir, ".go", tests)
+	if err != nil {
+		return nil, err
+	}
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -502,21 +520,14 @@ func (l *Loader) prefill(dirs []string, tests bool, workers int) error {
 // like Go's import-cycle rules) and extras (external _test package files,
 // which may legally import packages that import this one).
 func (l *Loader) importsOf(dir string, tests bool) (ordering, extra []string, err error) {
-	entries, err := os.ReadDir(dir)
+	names, err := buildFiles(dir, ".go", tests)
 	if err != nil {
 		return nil, nil, err
 	}
 	seenOrd := map[string]bool{}
 	seenExtra := map[string]bool{}
 	found := false
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
 		if err != nil {
 			return nil, nil, err

@@ -25,21 +25,24 @@ var (
 )
 
 // TestKernelAllocsWarm pins the simulator kernels' steady-state allocation
-// budget: after pool warmup, a run may allocate only its result — the
-// SaturationResult / ConvergecastResult struct and the slices inside it
-// (a saturation run's link counts are one array) — never per-frame or
-// per-shard scratch, which all comes from the sync.Pools. Three
-// invariants:
+// budget: after pool warmup, a sequential run may allocate only its
+// result — the SaturationResult / ConvergecastResult struct and the
+// slices inside it (a saturation run's link counts are one array) —
+// never per-frame scratch, which all comes from the sync.Pools. It runs
+// at n = 130, three 64-node words, so shard counts 2 and 3 really split
+// the run and start worker goroutines. Three invariants:
 //
-//  1. each warm run stays under a fixed budget (the measured count plus a
-//     little headroom);
-//  2. a sharded run allocates exactly as much as the sequential run of the
-//     same workload — the shard fan-out is fully pooled;
+//  1. each warm sequential run stays under a fixed budget (the measured
+//     count plus a little headroom);
+//  2. a sharded run allocates at most shardRunAllocs more than the
+//     sequential run of the same workload, at every frame count: the
+//     fan-out (a goroutine, a channel and a closure per extra shard, and
+//     the worker set) is paid once per run, never per frame or per round;
 //  3. the saturation count is flat in the frame count. (Convergecast is
-//     exempt from 3 only because its Delivered map grows with the traffic
-//     actually delivered, which is result size, not scratch.)
+//     exempt from 3 only because its Latency summary grows with the
+//     packets actually delivered, which is result size, not scratch.)
 func TestKernelAllocsWarm(t *testing.T) {
-	const n = 24
+	const n = 130
 	s := polySchedule(t, n, 2)
 	g := topology.Regularish(n, 4)
 
@@ -51,8 +54,12 @@ func TestKernelAllocsWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccCfg := func(frames, shards int) ConvergecastConfig {
-		return ConvergecastConfig{Sink: 0, Rate: 0.05, Frames: frames, Seed: 7, Shards: shards}
+	satRun := func(frames, shards int) func() {
+		return func() { sinkSat, _ = sat.RunSharded(g, frames, DefaultEnergy(), shards) }
+	}
+	ccRun := func(frames, shards int) func() {
+		cfg := ConvergecastConfig{Sink: 0, Rate: 0.05, Frames: frames, Seed: 7, Shards: shards}
+		return func() { sinkCC, _ = cc.Run(cfg) }
 	}
 
 	measure := func(call func()) float64 {
@@ -60,28 +67,43 @@ func TestKernelAllocsWarm(t *testing.T) {
 		return testing.AllocsPerRun(20, call)
 	}
 
-	const satBudget, ccBudget = 8.0, 32.0
+	// Measured: 4 per saturation run and 10 per two-frame convergecast
+	// run; a sharded run adds 6–9.
+	const satBudget, ccBudget, shardRunAllocs = 8.0, 14.0, 12.0
 
-	satSeq := measure(func() { sinkSat, _ = sat.Run(g, 2, DefaultEnergy()) })
+	satSeq := measure(satRun(2, 1))
 	if satSeq > satBudget {
 		t.Errorf("Saturation: %v allocs per warm run, budget %v", satSeq, satBudget)
 	}
-	satShard := measure(func() { sinkSat, _ = sat.RunSharded(g, 2, DefaultEnergy(), 4) })
-	if satShard != satSeq {
-		t.Errorf("SaturationSharded: %v allocs vs %v sequential; shard scratch must come from the pool", satShard, satSeq)
-	}
-	satLong := measure(func() { sinkSat, _ = sat.Run(g, 8, DefaultEnergy()) })
-	if satLong != satSeq {
+	if satLong := measure(satRun(8, 1)); satLong != satSeq {
 		t.Errorf("Saturation: %v allocs at 8 frames vs %v at 2; the warm path must not allocate per frame", satLong, satSeq)
 	}
-
-	ccSeq := measure(func() { sinkCC, _ = cc.Run(ccCfg(2, 1)) })
-	if ccSeq > ccBudget {
+	if ccSeq := measure(ccRun(2, 1)); ccSeq > ccBudget {
 		t.Errorf("Convergecast: %v allocs per warm run, budget %v", ccSeq, ccBudget)
 	}
-	ccShard := measure(func() { sinkCC, _ = cc.Run(ccCfg(2, 4)) })
-	if ccShard != ccSeq {
-		t.Errorf("ConvergecastSharded: %v allocs vs %v sequential; shard scratch must come from the pool", ccShard, ccSeq)
+
+	for _, k := range []struct {
+		name string
+		run  func(frames, shards int) func()
+	}{{"Saturation", satRun}, {"Convergecast", ccRun}} {
+		for _, shards := range []int{2, 3} {
+			var extra [2]float64
+			for i, frames := range []int{2, 8} {
+				seq := measure(k.run(frames, 1))
+				extra[i] = measure(k.run(frames, shards)) - seq
+				if extra[i] < 0 || extra[i] > shardRunAllocs {
+					t.Errorf("%s shards=%d frames=%d: %v allocs beyond the sequential %v, want at most %v per run",
+						k.name, shards, frames, extra[i], seq, shardRunAllocs)
+				}
+			}
+			// A worker that has not exited when the next run starts costs
+			// that run a fresh goroutine, so the fan-out varies by up to
+			// shards-1; a per-frame cost would add at least six.
+			if d := extra[1] - extra[0]; d > float64(shards-1) || -d > float64(shards-1) {
+				t.Errorf("%s shards=%d: fan-out costs %v allocs at 8 frames vs %v at 2; it must be paid once per run",
+					k.name, shards, extra[1], extra[0])
+			}
+		}
 	}
 
 	if sinkSat == nil || sinkCC == nil {

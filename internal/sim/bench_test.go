@@ -152,3 +152,38 @@ func BenchmarkSaturationJob(b *testing.B) {
 
 // benchSat keeps the measured runs from being optimized away.
 var benchSat *SaturationResult
+
+// BenchmarkConvergecastCampaignJob is the simulator's share of one job of
+// the campaign benchmark's convergecast grid at its (αT, αR) = (20, 120)
+// point: one warm Run of a kernel built once, on a 20×20 grid with sink
+// 0, over the Construct output of N(400, 4) with L = 729, at 0.002
+// packets per node-slot for 3 frames. Its arrival draws (399 a slot) are
+// the ScanAbove calls the block kernel serves.
+func BenchmarkConvergecastCampaignJob(b *testing.B) {
+	const n, d = 400, 4
+	s, err := core.Construct(benchPolySchedule(b, n, d), core.ConstructOptions{AlphaT: 20, AlphaR: 120, D: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if s.L() != 729 {
+		b.Fatalf("L = %d, want the campaign's 729", s.L())
+	}
+	k, err := NewConvergecastKernel(topology.Grid(20, 20), s, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ConvergecastConfig{Sink: 0, Rate: 0.002, Frames: 3, Seed: 7}
+	if benchCC, err = k.Run(cfg); err != nil { // warm the pooled scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchCC, err = k.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchCC keeps the measured runs from being optimized away.
+var benchCC *ConvergecastResult

@@ -80,8 +80,6 @@ type ConvergecastResult struct {
 	InFlight int
 	// Latency summarizes sink-arrival latencies in slots.
 	Latency stats.Summary
-	// HopLatency summarizes per-hop forwarding delays in slots.
-	HopLatency stats.Summary
 	// TotalEnergy is the radio energy spent by all nodes (joules),
 	// including warmup.
 	TotalEnergy float64
@@ -239,7 +237,6 @@ func runConvergecastLegacy(g *topology.Graph, proto Protocol, cfg ConvergecastCo
 	target, _ := proto.(TargetAware)
 
 	queues := make([][]Packet, n)
-	arrivedAt := make([]int, n) // slot when the queue-head arrived at this hop
 	res := &ConvergecastResult{Protocol: proto.Name(), EnergyPerNode: make([]float64, n)}
 	L := proto.FrameLen()
 	totalSlots := (cfg.WarmupFrames + cfg.Frames) * L
@@ -274,9 +271,6 @@ func runConvergecastLegacy(g *topology.Graph, proto Protocol, cfg ConvergecastCo
 							cfg.Tracer.Record(trace.Event{Slot: slot, Kind: trace.Drop, Node: v, Peer: -1})
 						}
 						continue
-					}
-					if len(queues[v]) == 0 {
-						arrivedAt[v] = slot
 					}
 					queues[v] = append(queues[v], Packet{Origin: v, Created: slot})
 				}
@@ -339,21 +333,12 @@ func runConvergecastLegacy(g *topology.Graph, proto Protocol, cfg ConvergecastCo
 				}
 				pkt := queues[sender][0]
 				queues[sender] = queues[sender][1:]
-				if measuring {
-					res.HopLatency.Add(float64(slot - arrivedAt[sender] + 1))
-				}
-				if len(queues[sender]) > 0 {
-					arrivedAt[sender] = slot + 1
-				}
 				if v == cfg.Sink {
 					if measuring {
 						res.Delivered++
 						res.Latency.Add(float64(slot - pkt.Created + 1))
 					}
 				} else if len(queues[v]) < maxQ {
-					if len(queues[v]) == 0 {
-						arrivedAt[v] = slot + 1
-					}
 					queues[v] = append(queues[v], pkt)
 				} else if measuring {
 					res.Dropped++

@@ -134,7 +134,6 @@ type ccFastScratch struct {
 	childTx    []int32  // childTx[u]: the last transmitter whose parent is u
 	txCnt      []int    // whole-run role census per node
 	rxCnt      []int
-	arrivedAt  []int // slot when the queue-head arrived at this hop
 	qhead      []int32
 	queues     [][]Packet
 }
@@ -165,14 +164,12 @@ func (sc *ccFastScratch) reset(n, nw int) {
 		sc.childTx = make([]int32, n)
 		sc.txCnt = make([]int, n)
 		sc.rxCnt = make([]int, n)
-		sc.arrivedAt = make([]int, n)
 		sc.qhead = make([]int32, n)
 		sc.queues = make([][]Packet, n)
 	}
 	sc.childTx = sc.childTx[:n]
 	sc.txCnt = sc.txCnt[:n]
 	sc.rxCnt = sc.rxCnt[:n]
-	sc.arrivedAt = sc.arrivedAt[:n]
 	sc.qhead = sc.qhead[:n]
 	sc.queues = sc.queues[:n]
 	for v := 0; v < n; v++ {
@@ -344,7 +341,6 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 							continue
 						}
 						if qlen == 0 {
-							sc.arrivedAt[v] = slot
 							sc.hasTraffic[v>>6] |= uint64(1) << uint(v&63)
 						}
 						queues[v] = append(queues[v], Packet{Origin: v, Created: slot})
@@ -406,11 +402,7 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 				h := sc.qhead[sdr]
 				pkt := queues[sdr][h]
 				h++
-				if measuring {
-					res.HopLatency.Add(float64(slot - sc.arrivedAt[sdr] + 1))
-				}
 				if int(h) < len(queues[sdr]) {
-					sc.arrivedAt[sdr] = slot + 1
 					if h >= 32 && int(h)*2 >= len(queues[sdr]) {
 						// Compact the drained prefix so long-lived queues
 						// keep reusing one backing array instead of
@@ -433,7 +425,6 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 					}
 				} else if qlen := len(queues[u]) - int(sc.qhead[u]); qlen < maxQ {
 					if qlen == 0 {
-						sc.arrivedAt[u] = slot + 1
 						sc.hasTraffic[u>>6] |= uint64(1) << uint(u&63)
 					}
 					queues[u] = append(queues[u], pkt)

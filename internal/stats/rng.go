@@ -32,6 +32,15 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// blockScan says whether ScanAbove uses the block kernel. It is set once,
+// at init, from the CPU; only tests change it, to run the Go loop alone.
+var blockScan = cpuHasBlockKernel()
+
+// maxScanBlocks caps the blocks one scanBlocks call tests (32768 draws,
+// some microseconds), so a long scan returns to Go between calls and
+// stays preemptible.
+const maxScanBlocks = 4096
+
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += golden
@@ -44,17 +53,31 @@ func (r *RNG) Uint64() uint64 {
 // the draw is 0. The generator ends in the state the same Uint64 calls
 // would leave, so a caller may mix ScanAbove and the other draws freely.
 //
-// The state advances by golden whatever the draws are, so the next four
-// outputs mix64(s+golden) ... mix64(s+4·golden) do not depend on each
-// other: ScanAbove tests four per step, then finishes one at a time. A
-// run of Bernoulli trials with a small success probability — the
-// convergecast arrival draws — thus costs one loop step per four trials,
-// whose mixes the CPU overlaps, instead of a call per trial.
+// The state advances by golden whatever the draws are, so the next
+// outputs mix64(s+golden), mix64(s+2·golden), ... do not depend on each
+// other. Where the CPU has AVX-512 (cpuHasBlockKernel), ScanAbove first
+// hands whole 8-draw blocks to scanBlocks, which tests eight per
+// iteration, at most maxScanBlocks per call; the Go loop below then
+// finishes the scan, four per step and then one at a time, from the
+// first block that holds a draw above threshold. On other hosts the Go
+// loop does the whole scan. A run of Bernoulli trials with a small
+// success probability — the convergecast arrival draws — thus costs one
+// vector step per eight trials, or one loop step per four, instead of a
+// call per trial.
 //
 //ttdc:hotpath the convergecast arrival scan, twice per slot of every run; register arithmetic only
 func (r *RNG) ScanAbove(count int, threshold uint64) (skipped int, draw uint64) {
 	s := r.state
 	i := 0
+	for blockScan && count-i >= 8 {
+		want := min((count-i)/8, maxScanBlocks)
+		b := scanBlocks(s, want, threshold)
+		i += 8 * b
+		s += uint64(8*b) * golden
+		if b < want {
+			break
+		}
+	}
 	for ; i+4 <= count; i += 4 {
 		s1 := s + golden
 		s2 := s1 + golden

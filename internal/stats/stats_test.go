@@ -304,7 +304,7 @@ func TestDeriveSeedSpread(t *testing.T) {
 }
 
 // scanByUint64 is ScanAbove written with one Uint64 call per draw: the
-// reference the four-per-step scan must reproduce draw for draw.
+// reference both scan paths must reproduce draw for draw.
 func scanByUint64(r *RNG, count int, threshold uint64) (int, uint64) {
 	for i := 0; i < count; i++ {
 		if v := r.Uint64(); v > threshold {
@@ -327,8 +327,35 @@ func assertScanMatches(t *testing.T, seed uint64, count int, threshold uint64) {
 	}
 }
 
+// scanPaths lists the ScanAbove paths this host runs: the Go loop alone,
+// and, where the CPU has AVX-512, the block kernel in front of it.
+func scanPaths() []bool {
+	if cpuHasBlockKernel() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// withBlockScan runs f with the block kernel switched on or off, then
+// restores the switch.
+func withBlockScan(on bool, f func()) {
+	defer func(was bool) { blockScan = was }(blockScan)
+	blockScan = on
+	f()
+}
+
 func TestScanAboveMatchesUint64Loop(t *testing.T) {
-	const large = 1001 // not a multiple of four: the tail loop runs too
+	for _, on := range scanPaths() {
+		name := "goloop"
+		if on {
+			name = "kernel"
+		}
+		t.Run(name, func(t *testing.T) { withBlockScan(on, func() { checkScanAbove(t) }) })
+	}
+}
+
+func checkScanAbove(t *testing.T) {
+	const large = 1001 // not a multiple of four or eight: the tail loop runs too
 	for seed := uint64(0); seed < 50; seed++ {
 		// A threshold equal to a drawn output: the draw at that position
 		// is skipped (<=), the one above it, if any, is returned.
@@ -363,13 +390,86 @@ func TestScanAboveMatchesUint64Loop(t *testing.T) {
 }
 
 // FuzzRNGScan holds ScanAbove to the Uint64 loop on arbitrary seeds,
-// counts and thresholds.
+// counts and thresholds, with the block kernel on and off where the CPU
+// has it; counts above 8·maxScanBlocks take more than one kernel call.
 func FuzzRNGScan(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint64(0))
 	f.Add(uint64(2), uint16(7), uint64(math.MaxUint64))
 	f.Add(uint64(3), uint16(1000), uint64(math.MaxUint64-math.MaxUint64/500))
 	f.Add(uint64(4), uint16(65535), uint64(math.MaxUint64-math.MaxUint64/100000))
+	paths := scanPaths()
 	f.Fuzz(func(t *testing.T, seed uint64, count uint16, threshold uint64) {
-		assertScanMatches(t, seed, int(count), threshold)
+		for _, on := range paths {
+			withBlockScan(on, func() { assertScanMatches(t, seed, int(count), threshold) })
+		}
+	})
+}
+
+// scanBlocksRef is scanBlocks written with one mix64 per draw.
+func scanBlocksRef(state uint64, blocks int, threshold uint64) int {
+	for b := 0; b < blocks; b++ {
+		for k := 1; k <= 8; k++ {
+			if mix64(state+uint64(8*b+k)*golden) > threshold {
+				return b
+			}
+		}
+	}
+	return blocks
+}
+
+// TestScanBlocksKernel holds the AVX-512 block kernel to scanBlocksRef
+// directly, at block counts around one block and around the per-call cap,
+// and at thresholds that pass no draw, every draw, half the draws, and
+// the campaign's arrival threshold. A draw above the threshold is then
+// placed in each of the eight lanes of one block, the kernel must stop
+// at that block, and at a threshold equal to the draw it must pass it.
+// ScanAbove's chunking across calls is checked at draw counts around
+// 8·maxScanBlocks.
+func TestScanBlocksKernel(t *testing.T) {
+	if !cpuHasBlockKernel() {
+		t.Skip("no AVX-512F and AVX-512DQ here: ScanAbove runs the Go loop alone")
+	}
+	campaign := uint64(math.Ldexp(math.Exp(-0.002), 53))<<11 | 0x7FF
+	thresholds := []uint64{0, math.MaxUint64, 1 << 63, campaign}
+	counts := []int{0, 1, 7, 8, 9, maxScanBlocks - 1, maxScanBlocks, maxScanBlocks + 1}
+	for seed := uint64(0); seed < 8; seed++ {
+		for _, threshold := range thresholds {
+			for _, blocks := range counts {
+				got, want := scanBlocks(seed, blocks, threshold), scanBlocksRef(seed, blocks, threshold)
+				if got != want {
+					t.Errorf("scanBlocks(%d, %d, %#x) = %d, want %d", seed, blocks, threshold, got, want)
+				}
+			}
+		}
+	}
+
+	// q is the first draw of seed's stream above the campaign threshold;
+	// starting the scan at seed + (q-p)·golden puts it at position p.
+	const seed, block = 3, 2
+	q := 0
+	for mix64(seed+uint64(q+1)*golden) <= campaign {
+		q++
+	}
+	if q < 8*(block+1) {
+		t.Fatalf("seed %d: first arrival at draw %d, too early to place", seed, q)
+	}
+	above := mix64(seed + uint64(q+1)*golden)
+	for lane := 0; lane < 8; lane++ {
+		p := 8*block + lane
+		state := seed + uint64(q-p)*golden
+		if got := scanBlocks(state, 9, above-1); got != block {
+			t.Errorf("lane %d: scanBlocks = %d blocks, want %d: the draw above threshold is in block %d", lane, got, block, block)
+		}
+		got, want := scanBlocks(state, 9, above), scanBlocksRef(state, 9, above)
+		if got != want || got <= block {
+			t.Errorf("lane %d: at threshold = draw, scanBlocks = %d blocks, reference %d; want past block %d", lane, got, want, block)
+		}
+	}
+
+	withBlockScan(true, func() {
+		for _, count := range []int{8*(maxScanBlocks-1) + 3, 8 * maxScanBlocks, 8*(maxScanBlocks+1) + 5, 8 * (2*maxScanBlocks + 1)} {
+			assertScanMatches(t, 11, count, math.MaxUint64)
+			assertScanMatches(t, 11, count, math.MaxUint64-math.MaxUint64/50000)
+		}
 	})
 }
