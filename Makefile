@@ -143,10 +143,11 @@ bench-scale:
 bench-serve:
 	$(GO) run ./cmd/ttdcload -inproc 3 -requests 12000 -c 16 -seed 42 -o BENCH_serve.json
 
-# Linter self-benchmarks: loader (serial and parallel), call-graph +
-# summary fixpoint, per-analyzer wall time, and the full LintAll path,
-# captured as BENCH_lint.json so analyzer regressions show up in the perf
-# trajectory alongside the engine and kernel numbers.
+# Linter self-benchmarks: the module load (go list, export data, source
+# type-check), call-graph + summary fixpoint, per-analyzer wall time, and
+# the full LintAll path, captured as BENCH_lint.json so analyzer
+# regressions show up in the perf trajectory alongside the engine and
+# kernel numbers.
 lint-bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/lint \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_lint.json

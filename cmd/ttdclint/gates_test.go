@@ -21,7 +21,7 @@ func TestAllocGateFilesCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadTreeParallel(loader.Root, true, 0)
+	pkgs, err := loader.LoadTree(loader.Root, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,13 @@
 // Usage:
 //
 //	ttdclint [-json] [-sarif file] [-baseline file] [-write-baseline]
-//	         [-enable list] [-disable list] [-workers n] [-tests=false]
+//	         [-enable list] [-disable list] [-tests=false]
 //	         [-hotpaths] [-write-alloc-gates] [packages...]
 //
 // Each argument is a directory or a `dir/...` tree pattern; the default is
-// `./...`. Tree patterns type-check packages concurrently over a shared
-// import cache (-workers bounds the parallelism).
+// `./...`. Standard-library imports are read from the export data that
+// `go list -export` builds, so ttdclint runs the go command of its GOROOT;
+// where that fails, the load fails (exit 2).
 //
 // A baseline file (-baseline) is the gated-then-ratcheted adoption
 // workflow: findings recorded in it are reported as counts, not failures,
@@ -95,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit")
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	workers := fs.Int("workers", 0, "concurrent type-checking workers for tree patterns (0 = GOMAXPROCS)")
 	hotpaths := fs.Bool("hotpaths", false, "emit the //ttdc:hotpath inventory as JSON and exit")
 	writeGates := fs.Bool("write-alloc-gates", false, "regenerate the per-package alloc_gate_test.go files from the //ttdc:hotpath inventory and exit")
 	if err := fs.Parse(args); err != nil {
@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if rest == "" {
 				root = "."
 			}
-			units, err = loader.LoadTreeParallel(root, *tests, *workers)
+			units, err = loader.LoadTree(root, *tests)
 		} else {
 			units, err = loader.LoadDir(pat, *tests)
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -193,6 +195,35 @@ func TestRunSARIF(t *testing.T) {
 	}
 }
 
+// TestRunReportDigests pins the reports byte for byte: the SHA-256 of the
+// text, -json and -sarif output over both fixture trees. The digests were
+// recorded with the source importer, so they hold the export-data loader
+// to the same bytes.
+func TestRunReportDigests(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"testdata/bad"}, 1, "bdf0e8cca8088e1e437e1311d9fce7e92dbc75bc4198e87f561e0f4ef89ce508"},
+		{[]string{"-json", "testdata/bad"}, 1, "8eef492576edd6766802aa2680ff1295384bb5def9260aa7b4df917cfe0e716b"},
+		{[]string{"-sarif", "-", "testdata/bad"}, 1, "4b4d25dc802c202713c63427c5b23c70708c06baf5bfcdcb7641b02f7ae59284"},
+		{[]string{"testdata/good"}, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{[]string{"-json", "testdata/good"}, 0, "306288a9327fae4067f536f4699e65e1dbdb1b28cd0a3a55592a62c9dc8d9a1b"},
+		{[]string{"-sarif", "-", "testdata/good"}, 0, "a48a2f8175f3295ee4de815b1d8def3eef138702558f97b645e891f4bce45065"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != tc.code {
+			t.Errorf("ttdclint %v: exit = %d, want %d; stderr=%q", tc.args, code, tc.code, errb.String())
+			continue
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("ttdclint %v output sha256 = %s, want %s\n%s", tc.args, got, tc.want, out.String())
+		}
+	}
+}
+
 func TestRunEnableDisable(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-enable", "ratcompare", "testdata/bad"}, &out, &errb); code != 1 {
@@ -229,6 +260,53 @@ func TestRunMissingDir(t *testing.T) {
 	}
 	if errb.Len() == 0 {
 		t.Fatal("expected a load error on stderr")
+	}
+}
+
+// TestRunLoadFailures pins the loader's failure contract on a module of
+// its own: an import with no export data, or a go command that fails, is a
+// load error (exit 2) that names the cause, never a fallback.
+func TestRunLoadFailures(t *testing.T) {
+	orig, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, goflags, imp string
+		want               []string
+	}{
+		{"no export data", "", "nosuch/pkg", []string{"no export data for nosuch/pkg", "not in std"}},
+		{"go list fails", "-bogus", "fmt", []string{"go list -export", "-bogus"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, src := range map[string]string{
+				"go.mod": "module tmpmod\n\ngo 1.22\n",
+				"a.go":   "package a\n\nimport _ \"" + tc.imp + "\"\n",
+			} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			t.Setenv("GOFLAGS", tc.goflags)
+			if err := os.Chdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := os.Chdir(orig); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			var out, errb bytes.Buffer
+			if code := run(nil, &out, &errb); code != 2 {
+				t.Fatalf("exit = %d, want 2; stdout=%q stderr=%q", code, out.String(), errb.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(errb.String(), w) {
+					t.Errorf("stderr %q does not contain %q", errb.String(), w)
+				}
+			}
+		})
 	}
 }
 

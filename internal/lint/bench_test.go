@@ -32,7 +32,9 @@ func benchPkgs(b *testing.B) []*Package {
 	return benchTree.pkgs
 }
 
-// BenchmarkLoadTree times a full serial parse + type-check of the module.
+// BenchmarkLoadTree times a full load of the module by a fresh loader:
+// the go list run, the standard library's export data, and the parse and
+// type-check of every package.
 func BenchmarkLoadTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loader, err := NewLoader("")
@@ -40,19 +42,6 @@ func BenchmarkLoadTree(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := loader.LoadTree(filepath.Join("..", ".."), true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoadTreeParallel times the worker-pool load `make lint` uses.
-func BenchmarkLoadTreeParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		loader, err := NewLoader("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := loader.LoadTreeParallel(filepath.Join("..", ".."), true, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -296,10 +296,11 @@ func symbolOf(fn *types.Func) string {
 	}
 }
 
-// computeLevels assigns each function the Kahn level of its unit in the
-// import DAG restricted to the loaded units — the same dependency order
-// the parallel loader checks packages in. External test units sit one
-// level above their base package so their helpers see settled summaries.
+// computeLevels assigns each function the level of its unit in the import
+// DAG restricted to the loaded units: one above the highest loaded unit it
+// imports, so the fixpoint visits imported packages before their
+// importers. External test units sit one level above their base package
+// so their helpers see settled summaries.
 func (p *Program) computeLevels(pkgs []*Package) {
 	byPath := map[string]*types.Package{}
 	for _, pkg := range pkgs {

@@ -158,8 +158,9 @@ func renderSummaries(prog *Program) string {
 }
 
 // TestBuildProgramSerialParallelIdentical pins the determinism contract
-// for the interprocedural layer: summaries computed over a parallel tree
-// load are byte-identical to the serial ones.
+// for the interprocedural layer: summaries computed over two fresh loads,
+// one through the deprecated LoadTreeParallel alias the benchmark module
+// calls, are byte-identical.
 func TestBuildProgramSerialParallelIdentical(t *testing.T) {
 	root := ".."
 
@@ -186,6 +187,6 @@ func TestBuildProgramSerialParallelIdentical(t *testing.T) {
 		t.Fatal("no summaries rendered")
 	}
 	if got != want {
-		t.Fatalf("summaries differ between parallel and serial loads:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
+		t.Fatalf("summaries differ between LoadTreeParallel and LoadTree:\n--- LoadTreeParallel ---\n%s--- LoadTree ---\n%s", got, want)
 	}
 }

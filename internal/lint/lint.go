@@ -11,8 +11,9 @@
 //
 // The driver (cmd/ttdclint) loads every package in the module using only
 // the standard library — go/parser for syntax, go/types for semantics, and
-// the go/importer source importer for standard-library dependencies — so
-// go.mod keeps its zero-dependency guarantee.
+// go/importer's gc importer for the export data that `go list -export`
+// reports for standard-library dependencies — so go.mod keeps its
+// zero-dependency guarantee.
 //
 // Findings can be suppressed with a directive on, or on the line above,
 // the offending line:

@@ -218,9 +218,10 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	}
 }
 
-// TestLoadTreeParallelMatchesSerial pins the loader equivalence contract:
-// the parallel tree load must produce the same units, in the same order,
-// with byte-identical lint output, as the serial one.
+// TestLoadTreeParallelMatchesSerial pins the loader's determinism
+// contract: two fresh loaders, one through LoadTree and one through the
+// deprecated LoadTreeParallel alias the benchmark module calls, load the
+// same units in the same order, with byte-identical lint output.
 func TestLoadTreeParallelMatchesSerial(t *testing.T) {
 	render := func(pkgs []*Package) string {
 		var b strings.Builder
@@ -254,7 +255,7 @@ func TestLoadTreeParallelMatchesSerial(t *testing.T) {
 
 	got, want := render(ppkgs), render(spkgs)
 	if got != want {
-		t.Fatalf("parallel load differs from serial:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
+		t.Fatalf("LoadTreeParallel differs from LoadTree:\n--- LoadTreeParallel ---\n%s--- LoadTree ---\n%s", got, want)
 	}
 	if len(ppkgs) == 0 {
 		t.Fatal("no packages loaded")

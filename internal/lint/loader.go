@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,12 +10,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked unit: either a package (its compile files
@@ -37,23 +40,30 @@ type Package struct {
 	Prog *Program
 }
 
-// Loader parses and type-checks packages of the enclosing module using
-// only the standard library. Imports inside the module are resolved
-// against the module root; everything else is delegated to the go/importer
-// source importer, which type-checks the standard library from GOROOT.
+// Loader parses and type-checks the packages of the enclosing module using
+// only the standard library. Imports inside the module are checked from
+// source under Root; every other import (the standard library) is read
+// from the export data the go command builds for it. A Loader is not safe
+// for concurrent use.
 type Loader struct {
 	// Module is the module path from go.mod.
 	Module string
 	// Root is the absolute module root directory.
 	Root string
-	// Fset is shared by every parse, including the source importer's.
+	// Fset is shared by every parse and by the export data reader.
 	Fset *token.FileSet
 
-	std     types.ImporterFrom
-	mu      sync.Mutex                // guards cache and loading
+	std     types.Importer
 	cache   map[string]*types.Package // import path -> checked (non-test files only)
 	loading map[string]bool
-	stdMu   sync.Mutex // the source importer is not documented as concurrency-safe
+	listed  map[string]listedPackage // nil until the first import from outside the module
+}
+
+// listedPackage is one package as `go list -json` reports it.
+type listedPackage struct {
+	ImportPath string
+	Export     string // the export data file; empty if none was built
+	Error      *struct{ Err string }
 }
 
 // NewLoader locates the enclosing module by walking up from dir (or the
@@ -89,19 +99,15 @@ func NewLoader(dir string) (*Loader, error) {
 	if module == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not implement ImporterFrom")
-	}
-	return &Loader{
+	l := &Loader{
 		Module:  module,
 		Root:    root,
-		Fset:    fset,
-		std:     std,
+		Fset:    token.NewFileSet(),
 		cache:   map[string]*types.Package{},
 		loading: map[string]bool{},
-	}, nil
+	}
+	l.std = importer.ForCompiler(l.Fset, "gc", l.openExport)
+	return l, nil
 }
 
 // modulePath extracts the module path from go.mod contents.
@@ -116,40 +122,22 @@ func modulePath(gomod string) string {
 }
 
 // Import resolves an import path for the type checker: module-internal
-// paths are checked from source under Root, anything else goes to the
-// source importer. Loader itself implements types.Importer so checked
+// paths are checked from source under Root, anything else is read from
+// its export data. Loader itself implements types.Importer so checked
 // packages can import each other.
-//
-// Import is safe for concurrent use, with one caveat: two goroutines may
-// not concurrently import module-internal packages whose dependency
-// closures overlap, or the in-progress marker reads as a cycle.
-// LoadTreeParallel avoids this by pre-filling the cache in dependency
-// order, so its phase-B checks only ever hit the cache.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	l.mu.Lock()
-	pkg, ok := l.cache[path]
-	l.mu.Unlock()
-	if ok {
-		return pkg, nil
-	}
 	dir, internal := l.dirFor(path)
 	if !internal {
-		l.stdMu.Lock()
-		defer l.stdMu.Unlock()
-		return l.std.ImportFrom(path, l.Root, 0)
+		return l.std.Import(path)
 	}
-	l.mu.Lock()
+	if pkg, ok := l.cache[path]; ok {
+		return pkg, nil
+	}
 	if l.loading[path] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
 	l.loading[path] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.loading, path)
-		l.mu.Unlock()
-	}()
+	defer delete(l.loading, path)
 
 	files, err := l.parseDir(dir, false)
 	if err != nil {
@@ -159,14 +147,103 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	conf := types.Config{Importer: l}
-	pkg, err = conf.Check(path, l.Fset, files, nil)
+	pkg, err := conf.Check(path, l.Fset, files, nil)
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
 	l.cache[path] = pkg
-	l.mu.Unlock()
 	return pkg, nil
+}
+
+// openExport opens the export data of an import path from outside the
+// module. The first call lists path and every such path the module's files
+// import, with their dependencies, in one go list run; a later path
+// outside that set (a test fixture's) costs one more run. A path go list
+// cannot build is a load error naming the path and go list's reason.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	if l.listed == nil {
+		l.listed = map[string]listedPackage{}
+		paths, err := l.moduleImports()
+		if err != nil {
+			return nil, err
+		}
+		if err := l.goList(append(paths, path)); err != nil {
+			return nil, err
+		}
+	}
+	if _, ok := l.listed[path]; !ok {
+		if err := l.goList([]string{path}); err != nil {
+			return nil, err
+		}
+	}
+	p := l.listed[path]
+	switch {
+	case p.Error != nil:
+		return nil, fmt.Errorf("lint: no export data for %s: %s", path, p.Error.Err)
+	case p.Export == "":
+		return nil, fmt.Errorf("lint: no export data for %s: go list did not report it", path)
+	}
+	return os.Open(p.Export)
+}
+
+// goList runs `go list -e -export -deps` on paths from the module root,
+// with the go command of the GOROOT that go/build reads, and records what
+// it reports for each listed package. The build cache makes a repeated
+// run cheap; a failing go command is a load error.
+func (l *Loader) goList(paths []string) error {
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error"}, paths...)
+	cmd := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...)
+	cmd.Dir = l.Root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %v: %s", err, strings.TrimSpace(stderr.String()))
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return fmt.Errorf("lint: reading go list output: %w", err)
+		}
+		l.listed[p.ImportPath] = p
+	}
+	return nil
+}
+
+// moduleImports lists the import paths from outside the module that the
+// Go files under Root import, test files included.
+func (l *Loader) moduleImports() ([]string, error) {
+	dirs, err := walkDirs(l.Root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	var paths []string
+	for _, dir := range dirs {
+		names, err := buildFiles(dir, ".go", true)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range names {
+			// A file that does not parse fails when its package loads;
+			// the imports read before the error still count.
+			f, _ := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+			if f == nil {
+				continue
+			}
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if _, internal := l.dirFor(path); err != nil || internal || seen[path] {
+					continue
+				}
+				seen[path] = true
+				paths = append(paths, path)
+			}
+		}
+	}
+	return paths, nil
 }
 
 // dirFor maps a module-internal import path to its directory.
@@ -307,7 +384,7 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 // LoadTree loads every package directory under root (which must be inside
 // the module), skipping testdata, hidden, and underscore directories.
 func (l *Loader) LoadTree(root string, tests bool) ([]*Package, error) {
-	dirs, err := l.walkDirs(root)
+	dirs, err := walkDirs(root)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +401,7 @@ func (l *Loader) LoadTree(root string, tests bool) ([]*Package, error) {
 
 // walkDirs collects the package directories under root, sorted, skipping
 // testdata, hidden, and underscore directories.
-func (l *Loader) walkDirs(root string) ([]string, error) {
+func walkDirs(root string) ([]string, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -351,210 +428,10 @@ func (l *Loader) walkDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// LoadTreeParallel is LoadTree with concurrent type-checking. It runs in
-// two phases so the shared import cache is only ever read concurrently,
-// never raced on:
+// LoadTreeParallel is LoadTree; workers is ignored.
 //
-//   - Phase A walks the module-internal import DAG (imports of the target
-//     directories plus their transitive internal closure), then checks it
-//     into the cache level by level — a package is checked only after all
-//     of its dependencies, and packages within a level are independent, so
-//     they check in parallel. Leftover nodes mean an import cycle.
-//   - Phase B checks the target units themselves (with test files and full
-//     Info) across `workers` goroutines; every internal import is a cache
-//     hit by construction.
-//
-// The result is identical to LoadTree: same units, same order.
+// Deprecated: use LoadTree. It remains only while the benchmark module
+// (_perfbench) calls it.
 func (l *Loader) LoadTreeParallel(root string, tests bool, workers int) ([]*Package, error) {
-	dirs, err := l.walkDirs(root)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return l.LoadTree(root, tests)
-	}
-	if err := l.prefill(dirs, tests, workers); err != nil {
-		return nil, err
-	}
-	units := make([][]*Package, len(dirs))
-	errs := make([]error, len(dirs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				units[i], errs[i] = l.LoadDir(dirs[i], tests)
-			}
-		}()
-	}
-	for i := range dirs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	var pkgs []*Package
-	for i := range dirs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		pkgs = append(pkgs, units[i]...)
-	}
-	return pkgs, nil
-}
-
-// prefill type-checks the module-internal dependency closure of dirs into
-// the import cache, in dependency order, parallel within each level.
-func (l *Loader) prefill(dirs []string, tests bool, workers int) error {
-	// deps maps each internal import path to the internal paths its
-	// compile (and, for target dirs, in-package test) files import — the
-	// edges that constrain check order. External-test imports only seed
-	// new nodes: package p_test may depend on packages that import p.
-	deps := map[string][]string{}
-	var queue []string
-	seed := func(path string) {
-		if _, ok := deps[path]; !ok {
-			deps[path] = nil
-			queue = append(queue, path)
-		}
-	}
-	for _, dir := range dirs {
-		ordering, extra, err := l.importsOf(dir, tests)
-		if err != nil {
-			return err
-		}
-		if ordering == nil && extra == nil {
-			continue // no Go files
-		}
-		path := l.pathFor(dir)
-		seed(path)
-		deps[path] = ordering
-		for _, p := range append(ordering, extra...) {
-			seed(p)
-		}
-	}
-	// Expand the closure: every seeded non-target node contributes its own
-	// compile imports.
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		if deps[path] != nil {
-			continue
-		}
-		dir, internal := l.dirFor(path)
-		if !internal {
-			delete(deps, path)
-			continue
-		}
-		ordering, _, err := l.importsOf(dir, false)
-		if err != nil {
-			return err
-		}
-		deps[path] = ordering
-		for _, p := range ordering {
-			seed(p)
-		}
-	}
-	// Kahn's algorithm by levels, checking each level in parallel.
-	done := map[string]bool{}
-	for len(done) < len(deps) {
-		var ready []string
-		for path, ds := range deps {
-			if done[path] {
-				continue
-			}
-			ok := true
-			for _, d := range ds {
-				if _, tracked := deps[d]; tracked && !done[d] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				ready = append(ready, path)
-			}
-		}
-		if len(ready) == 0 {
-			var left []string
-			for path := range deps {
-				if !done[path] {
-					left = append(left, path)
-				}
-			}
-			sort.Strings(left)
-			return fmt.Errorf("lint: import cycle among %s", strings.Join(left, ", "))
-		}
-		sort.Strings(ready)
-		errs := make([]error, len(ready))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, path := range ready {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, path string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				_, errs[i] = l.Import(path)
-			}(i, path)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		for _, path := range ready {
-			done[path] = true
-		}
-	}
-	return nil
-}
-
-// importsOf parses the import clauses of dir's Go files (ImportsOnly — no
-// bodies) and splits the module-internal paths into ordering edges
-// (compile and in-package test files, which the checker treats exactly
-// like Go's import-cycle rules) and extras (external _test package files,
-// which may legally import packages that import this one).
-func (l *Loader) importsOf(dir string, tests bool) (ordering, extra []string, err error) {
-	names, err := buildFiles(dir, ".go", tests)
-	if err != nil {
-		return nil, nil, err
-	}
-	seenOrd := map[string]bool{}
-	seenExtra := map[string]bool{}
-	found := false
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, nil, err
-		}
-		found = true
-		xtest := strings.HasSuffix(f.Name.Name, "_test")
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if _, internal := l.dirFor(path); !internal {
-				continue
-			}
-			if xtest {
-				if !seenExtra[path] {
-					seenExtra[path] = true
-					extra = append(extra, path)
-				}
-			} else if !seenOrd[path] {
-				seenOrd[path] = true
-				ordering = append(ordering, path)
-			}
-		}
-	}
-	if !found {
-		return nil, nil, nil
-	}
-	if ordering == nil {
-		ordering = []string{}
-	}
-	return ordering, extra, nil
+	return l.LoadTree(root, tests)
 }

@@ -12,8 +12,7 @@ import (
 // FloatDerived only moves true→false — so iterating until no summary
 // changes terminates, and because both the function order (level, then
 // symbol) and the per-function edge order (source order) are fixed by the
-// sorted loader output, the fixpoint is byte-identical between -workers=1
-// and parallel runs.
+// sorted loader output, the fixpoint is byte-identical from run to run.
 
 // TaintKind indexes the determinism-taint dimensions of a Summary.
 type TaintKind int

@@ -62,6 +62,8 @@ func shardRanges(n, shards int) [][2]int {
 type shardWorkers struct {
 	fn   func(si, x int)
 	work []chan int
+	// done counts a worker once per round it has not finished and, from
+	// stop on, once more until it has exited.
 	done sync.WaitGroup
 }
 
@@ -74,6 +76,7 @@ func startShardWorkers(shards int, fn func(si, x int)) *shardWorkers {
 		ch := make(chan int, 1)
 		w.work[i] = ch
 		go func(si int) {
+			defer w.done.Done()
 			for x := range ch {
 				fn(si, x)
 				w.done.Done()
@@ -93,9 +96,12 @@ func (w *shardWorkers) round(x int) {
 	w.done.Wait()
 }
 
-// stop retires the workers. No round may be in progress.
+// stop retires the workers and returns once they have exited, so a run
+// leaves no goroutine behind. No round may be in progress.
 func (w *shardWorkers) stop() {
+	w.done.Add(len(w.work))
 	for _, ch := range w.work {
 		close(ch)
 	}
+	w.done.Wait()
 }
