@@ -101,7 +101,9 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzVerifierDifferential -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzConstructSequential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCampaign -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzIgnoreDirective -fuzztime 10s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzHotpathDirective -fuzztime 10s ./internal/lint
 

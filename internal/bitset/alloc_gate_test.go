@@ -11,11 +11,13 @@ import "testing"
 var allocGateEntries = []string{
 	"(*repro/internal/bitset.Set).Contains",                    // membership probe on the simulator slot loops; one shift and one AND
 	"(*repro/internal/bitset.Set).CopyThenDifference",          // one fused word pass per prefix extension of every verification walk
+	"(*repro/internal/bitset.Set).CountDisjoint",               // one fused pass per slot of every schedule built; two popcounts and an AND per word
 	"(*repro/internal/bitset.Set).DifferenceIntersectionCount", // the D == 1 throughput cardinality, one fused popcount pass per pair
 	"(*repro/internal/bitset.Set).DifferenceWith",              // in-place set difference; the naive kernels pay it D times per subset
 	"(*repro/internal/bitset.Set).IntersectWith",               // in-place set intersection on the verification walks
 	"(*repro/internal/bitset.Set).IntersectionCount",           // popcount reduction on the throughput scans
 	"(*repro/internal/bitset.Set).Intersects",                  // condition-(2) probe of the requirement checks; short-circuiting word scan
+	"(*repro/internal/bitset.Set).Select",                      // Construct finds both ends of every Sequential run by rank; a popcount per word
 	"(*repro/internal/bitset.Set).UnionWith",                   // in-place set union on the verification walks; word loop over existing backing arrays
 	"repro/internal/bitset.TransposeWindow",                    // the simulator kernels transpose their slot sets one 64-slot window at a time
 }

@@ -29,6 +29,8 @@ func allocGateHarness(t *testing.T, sym string) func() {
 		return func() { gateSinkBool = a.Contains(99) }
 	case "(*repro/internal/bitset.Set).CopyThenDifference":
 		return func() { gateSinkBool = dst.CopyThenDifference(a, b) }
+	case "(*repro/internal/bitset.Set).CountDisjoint":
+		return func() { gateSinkCount, _, gateSinkBool = a.CountDisjoint(b) }
 	case "(*repro/internal/bitset.Set).DifferenceIntersectionCount":
 		return func() { gateSinkCount = a.DifferenceIntersectionCount(b, mask) }
 	case "(*repro/internal/bitset.Set).DifferenceWith":
@@ -39,6 +41,8 @@ func allocGateHarness(t *testing.T, sym string) func() {
 		return func() { gateSinkCount = a.IntersectionCount(b) }
 	case "(*repro/internal/bitset.Set).Intersects":
 		return func() { gateSinkBool = a.Intersects(b) }
+	case "(*repro/internal/bitset.Set).Select":
+		return func() { gateSinkCount = a.Select(3) }
 	case "(*repro/internal/bitset.Set).UnionWith":
 		return func() { dst.UnionWith(b) }
 	case "repro/internal/bitset.TransposeWindow":

@@ -55,8 +55,14 @@ func TestAddRemoveContains(t *testing.T) {
 
 func TestAddPanicsOutOfRange(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		// A recovered panic is reported with %v (the engine journals it
+		// so), which must read the same as the message it always had.
+		p := recover()
+		if p == nil {
 			t.Fatal("Add out of range did not panic")
+		}
+		if got, want := fmt.Sprintf("%v", p), "bitset: element 10 out of range [0,10)"; got != want {
+			t.Fatalf("panic value reads %q, want %q", got, want)
 		}
 	}()
 	New(10).Add(10)
@@ -626,5 +632,71 @@ func TestWindowMatchesBitByBit(t *testing.T) {
 			}()
 			New(130).Window(bad[0], bad[1])
 		}()
+	}
+}
+
+// TestSelectMatchesElements checks Select bit by bit against Elements at
+// every rank, -1 and one past the last rank. The sets put ranks 0, 63 and
+// 64 and the last rank on word edges: a full set, an empty one, full words
+// around an empty one, single elements at 63, 64 and cap-1, and a random
+// fill, each at a capacity with a partial last word and at a multiple of
+// 64.
+func TestSelectMatchesElements(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, capacity := range []int{130, 192} {
+		full, gap, random := New(capacity), New(capacity), New(capacity)
+		for i := 0; i < capacity; i++ {
+			full.Add(i)
+			if i < 64 || i >= 128 {
+				gap.Add(i)
+			}
+			if r.Intn(3) == 0 {
+				random.Add(i)
+			}
+		}
+		sets := []*Set{full, New(capacity), gap, random,
+			FromSlice(capacity, []int{63}), FromSlice(capacity, []int{64}), FromSlice(capacity, []int{capacity - 1})}
+		for _, s := range sets {
+			elems := s.Elements()
+			for rank := -1; rank <= len(elems); rank++ {
+				want := -1
+				if rank >= 0 && rank < len(elems) {
+					want = elems[rank]
+				}
+				if got := s.Select(rank); got != want {
+					t.Fatalf("cap %d: Select(%d) of %v = %d, want %d", capacity, rank, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCountDisjointMatchesCounts holds the fused census pass to Count,
+// Count and Intersects on random pairs of sets, disjoint and not, across
+// capacities that differ in their word counts.
+func TestCountDisjointMatchesCounts(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	caps := []int{0, 1, 63, 64, 65, 130}
+	for _, ca := range caps {
+		for _, cb := range caps {
+			for trial := 0; trial < 20; trial++ {
+				a, b := New(ca), New(cb)
+				for i := 0; i < ca; i++ {
+					if r.Intn(3) == 0 {
+						a.Add(i)
+					}
+				}
+				for i := 0; i < cb; i++ {
+					if r.Intn(3) == 0 && (trial%2 == 0 || !a.Contains(i)) {
+						b.Add(i)
+					}
+				}
+				cs, co, disjoint := a.CountDisjoint(b)
+				if cs != a.Count() || co != b.Count() || disjoint == a.Intersects(b) {
+					t.Fatalf("CountDisjoint(%v, %v) = %d, %d, %v; want %d, %d, %v",
+						a, b, cs, co, disjoint, a.Count(), b.Count(), !a.Intersects(b))
+				}
+			}
+		}
 	}
 }

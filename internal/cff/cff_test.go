@@ -426,8 +426,9 @@ func TestTablesEvalReference(t *testing.T) {
 }
 
 // TestPolynomialMatchesEvalReference pins every member set of the
-// parent-row construction against per-coefficient evaluation, over prime
-// and prime-power fields and node counts that stop mid-row.
+// parent-row construction, and every slot set PolynomialSlots writes from
+// the same evaluation, against per-coefficient evaluation, over prime and
+// prime-power fields and node counts that stop mid-row.
 func TestPolynomialMatchesEvalReference(t *testing.T) {
 	for _, c := range []struct{ n, d int }{
 		{2, 1}, {9, 2}, {25, 2}, {64, 3}, {100, 2}, {400, 4}, {1000, 3}, {8400, 3}, {9000, 2},
@@ -444,6 +445,14 @@ func TestPolynomialMatchesEvalReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		slots, err := PolynomialSlots(c.n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSlots := make([]*bitset.Set, p.FrameLength())
+		for i := range wantSlots {
+			wantSlots[i] = bitset.New(c.n)
+		}
 		tb := gf.NewTables(f)
 		coeffs := make([]int, p.K+1)
 		for x := 0; x < c.n; x++ {
@@ -455,10 +464,25 @@ func TestPolynomialMatchesEvalReference(t *testing.T) {
 			want := bitset.New(p.FrameLength())
 			for j := 0; j < p.Q; j++ {
 				want.Add(p.Q*j + evalRef(f, tb, coeffs, j))
+				wantSlots[p.Q*j+evalRef(f, tb, coeffs, j)].Add(x)
 			}
 			if !fam.Sets[x].Equal(want) || fam.Sets[x].Cap() != want.Cap() {
 				t.Fatalf("n=%d D=%d (q=%d, k=%d): set %d = %v, want %v", c.n, c.d, p.Q, p.K, x, fam.Sets[x], want)
 			}
 		}
+		if len(slots) != len(wantSlots) {
+			t.Fatalf("n=%d D=%d: %d slot sets, want %d", c.n, c.d, len(slots), len(wantSlots))
+		}
+		for i, want := range wantSlots {
+			if !slots[i].Equal(want) || slots[i].Cap() != c.n {
+				t.Fatalf("n=%d D=%d (q=%d, k=%d): slot %d = %v, want %v", c.n, c.d, p.Q, p.K, i, slots[i], want)
+			}
+		}
+	}
+	if _, err := PolynomialSlots(0, PolynomialParams{Q: 3, K: 1, N: 9}); err == nil {
+		t.Error("PolynomialSlots accepted n = 0")
+	}
+	if _, err := PolynomialSlots(10, PolynomialParams{Q: 3, K: 1, N: 9}); err == nil {
+		t.Error("PolynomialSlots accepted n above the family's capacity")
 	}
 }

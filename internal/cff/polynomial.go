@@ -71,41 +71,97 @@ func FindPolynomialParams(n, d int) (PolynomialParams, error) {
 // kD < q of a node's q slots: the family is D-cover-free with every member
 // set of size exactly q.
 func Polynomial(n int, p PolynomialParams) (*Family, error) {
-	if n < 1 || n > p.N {
-		return nil, fmt.Errorf("cff: polynomial family supports up to %d nodes, asked %d", p.N, n)
+	if err := p.checkNodes(n); err != nil {
+		return nil, err
 	}
-	field, err := gf.NewOrder(p.Q)
-	if err != nil {
-		return nil, fmt.Errorf("cff: bad field order %d: %w", p.Q, err)
-	}
-	// Horner's rule splits off the constant coefficient: with x = q·y + c,
-	// f_x(e) = c + e·f_y(e). Row y of vals holds f_y at every field
-	// element, and y < x for x >= 1, so each value is one table Mul and
-	// one field Add on a row already computed. Only rows y < ⌈n/q⌉ are
-	// ever parents.
-	tables := gf.NewTables(field)
-	q := p.Q
-	L := q * q
-	parents := (n + q - 1) / q
-	vals := make([]int, parents*q)
 	sets := make([]*bitset.Set, n)
-	for x := 0; x < n; x++ {
-		parent := vals[(x/q)*q : (x/q+1)*q]
-		s := bitset.New(L)
-		for j, fy := range parent {
-			v := field.Add(x%q, tables.Mul(j, fy))
-			if x < parents {
-				vals[x*q+j] = v
-			}
-			s.Add(q*j + v)
+	for x := range sets {
+		sets[x] = bitset.New(p.FrameLength())
+	}
+	err := evalPolynomials(n, p, func(y, j int, row []int) {
+		for c, v := range row {
+			sets[p.Q*y+c].Add(p.Q*j + v)
 		}
-		sets[x] = s
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Family{
-		L:    L,
+		L:    p.FrameLength(),
 		Sets: sets,
 		Name: fmt.Sprintf("polynomial(q=%d,k=%d)", p.Q, p.K),
 	}, nil
+}
+
+// PolynomialSlots returns the transmitter slot sets of the polynomial
+// family's non-sleeping schedule, each over the node universe [0, n): slot
+// q*j + v holds the nodes x with f_x(e_j) = v. They are the transpose of
+// Polynomial's member sets, written straight from the same evaluation, so
+// a schedule built from them builds no member set and no transpose.
+func PolynomialSlots(n int, p PolynomialParams) ([]*bitset.Set, error) {
+	if err := p.checkNodes(n); err != nil {
+		return nil, err
+	}
+	slots := make([]*bitset.Set, p.FrameLength())
+	for i := range slots {
+		slots[i] = bitset.New(n)
+	}
+	err := evalPolynomials(n, p, func(y, j int, row []int) {
+		for c, v := range row {
+			slots[p.Q*j+v].Add(p.Q*y + c)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return slots, nil
+}
+
+// checkNodes reports an error unless the family supports n nodes.
+func (p PolynomialParams) checkNodes(n int) error {
+	if n < 1 || n > p.N {
+		return fmt.Errorf("cff: polynomial family supports up to %d nodes, asked %d", p.N, n)
+	}
+	return nil
+}
+
+// evalPolynomials evaluates the polynomial of every node x in [0, n) at
+// every field element by Horner's rule, one element e_j at a time. With
+// x = q·y + c, f_x(e_j) = c + e_j·f_y(e_j), and y < x for x >= 1, so at
+// each e_j it keeps f_y(e_j) for the parents y < ⌈n/q⌉ only. At each
+// (j, y) one table multiplication gives m = e_j·f_y(e_j), and the q
+// children of y take the values of row m of GF(q)'s addition table:
+// emit(y, j, row) receives that row cut to the children below n, child
+// c's value being row[c]. Calls come j by j, so a slot-major writer
+// touches one subframe's q slot sets at a time. n must pass p.checkNodes.
+func evalPolynomials(n int, p PolynomialParams, emit func(y, j int, row []int)) error {
+	field, err := gf.NewOrder(p.Q)
+	if err != nil {
+		return fmt.Errorf("cff: bad field order %d: %w", p.Q, err)
+	}
+	tables := gf.NewTables(field)
+	q := p.Q
+	add := make([]int, q*q)
+	for a := 0; a < q; a++ {
+		for b := 0; b < q; b++ {
+			add[a*q+b] = field.Add(a, b)
+		}
+	}
+	// vals[y] = f_y(e_j) at the current j. Each parent y >= 1 is written
+	// as a child of ⌊y/q⌋ < y before it is read, and f_0 = 0 at every j.
+	vals := make([]int, (n+q-1)/q)
+	for j := 0; j < q; j++ {
+		for y := range vals {
+			children := min(q, n-q*y)
+			m := tables.Mul(j, vals[y])
+			row := add[m*q : m*q+children]
+			for c := 0; c < children && q*y+c < len(vals); c++ {
+				vals[q*y+c] = row[c]
+			}
+			emit(y, j, row)
+		}
+	}
+	return nil
 }
 
 // PolynomialFor is a convenience that finds parameters for (n, D) and builds

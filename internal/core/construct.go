@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/combin"
@@ -16,9 +17,10 @@ import (
 type DivisionStrategy int
 
 const (
-	// Sequential divides a sorted element list into consecutive chunks; the
-	// final chunk, when short, is extended backwards to reach the required
-	// size (so chunks may overlap). Simple and deterministic.
+	// Sequential divides a slot's elements, in increasing order, into runs
+	// of consecutive elements; the final run, when short, is extended
+	// backwards to reach the required size (so runs may overlap). Simple
+	// and deterministic.
 	Sequential DivisionStrategy = iota
 	// Balanced deals elements round-robin and fills each subset to the
 	// required size with the globally least-scheduled nodes, tracking
@@ -89,31 +91,44 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 		sizeT = OptimalTransmittersCapped(n, opts.D, opts.AlphaT)
 	}
 
-	div := newDivider(n, opts.Strategy)
+	var bal *balancer
+	if opts.Strategy == Balanced {
+		bal = &balancer{txUse: make([]int, n), rxUse: make([]int, n)}
+	}
 	// Theorem 7's closed-form frame length sizes the output slot lists.
 	frame := ConstructedFrameLength(ns, sizeT, opts.AlphaR)
 	outT := make([]*bitset.Set, 0, frame)
 	outR := make([]*bitset.Set, 0, frame)
-	var tElems, rElems []int // reused: a slot's subsets are built before the next slot
+	var tSets, rSets []*bitset.Set // reused: a slot's subsets are built before the next slot
 	for i := 0; i < ns.L(); i++ {
-		tElems = ns.t[i].AppendElements(tElems[:0])
-		rElems = ns.r[i].AppendElements(rElems[:0]) // == V_n - T[i] for non-sleeping input
-		if len(tElems) == 0 {
+		t, r := ns.t[i], ns.r[i] // r == V_n - t for non-sleeping input
+		mT, mR := t.Count(), r.Count()
+		if mT == 0 {
 			// A slot nobody transmits in contributes nothing; Figure 2's
 			// loop would emit k_T = 0 subsets. Skip it.
 			continue
 		}
 		// Each subset becomes one set shared by all k_T·k_R output slots
-		// it appears in; only a receiver subset that line 8 pads is
-		// copied, because its padding depends on the transmitter subset.
-		tSets := div.subsetSets(ns.t[i], div.divideT(tElems, sizeT))
-		rSubsets := div.divideR(rElems, opts.AlphaR)
-		rSets := div.subsetSets(ns.r[i], rSubsets)
+		// it appears in. Receiver subsets are short of αR exactly when
+		// |R[i]| < αR; each is then copied per transmitter subset and
+		// padded (line 8), because its padding depends on that subset.
+		short := mR < opts.AlphaR
+		if bal != nil {
+			tSets = bal.subsets(tSets[:0], t, sizeT, bal.txUse)
+			rSets = bal.subsets(rSets[:0], r, opts.AlphaR, bal.rxUse)
+		} else {
+			tSets = appendRuns(tSets[:0], t, mT, sizeT)
+			rSets = appendRuns(rSets[:0], r, mR, opts.AlphaR)
+		}
 		for _, tSet := range tSets {
-			for j, rSet := range rSets {
-				if len(rSubsets[j]) < opts.AlphaR {
+			for _, rSet := range rSets {
+				if short {
 					rSet = rSet.Clone()
-					div.pad(rSet, tSet, opts.AlphaR)
+					if bal != nil {
+						bal.pad(rSet, tSet, opts.AlphaR)
+					} else {
+						padSmallest(rSet, tSet, opts.AlphaR)
+					}
 				}
 				outT = append(outT, tSet)
 				outR = append(outR, rSet)
@@ -130,52 +145,66 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 	return out, nil
 }
 
-// subsetSets builds one bitset over V_n per subset of slot's elements. A
-// Sequential subset is a run of consecutive elements of slot, so its set
-// is slot's window from the run's first element to its last; Balanced
-// subsets are not runs and are built element by element.
-func (d *divider) subsetSets(slot *bitset.Set, subsets [][]int) []*bitset.Set {
-	sets := make([]*bitset.Set, len(subsets))
-	for i, sub := range subsets {
-		if d.strategy == Balanced {
-			sets[i] = bitset.FromSlice(slot.Cap(), sub)
-		} else {
-			sets[i] = slot.Window(sub[0], sub[len(sub)-1]+1)
+// appendRuns appends the Sequential division (lines 3-4 of Figure 2) of
+// slot, which has m elements, to dst: k = ⌈m/size⌉ runs of min(size, m)
+// consecutive elements, the last pulled back to end at rank m-1, so it
+// may overlap its predecessor. Select finds each run's first and last
+// element by rank, and the run's set is slot's window between them.
+func appendRuns(dst []*bitset.Set, slot *bitset.Set, m, size int) []*bitset.Set {
+	if m == 0 {
+		return dst
+	}
+	size = min(size, m)
+	for j := 0; j < combin.CeilDiv(m, size); j++ {
+		first := min(j*size, m-size)
+		dst = append(dst, slot.Window(slot.Select(first), slot.Select(first+size-1)+1))
+	}
+	return dst
+}
+
+// padSmallest is line 8 of Figure 2 under Sequential: it extends the
+// receiver subset to exactly alphaR nodes with the smallest ids outside
+// tSet ∪ rSet, read from the two sets' words. Feasible because
+// |tSet| <= αT and αT + αR <= n.
+func padSmallest(rSet, tSet *bitset.Set, alphaR int) {
+	need := alphaR - rSet.Count()
+	rw, tw := rSet.Words(), tSet.Words()
+	for wi := 0; need > 0 && wi < len(rw); wi++ {
+		for free := ^(rw[wi] | tw[wi]); need > 0 && free != 0; need-- {
+			rSet.Add(wi*64 + bits.TrailingZeros64(free))
+			free &= free - 1
 		}
 	}
-	return sets
-}
-
-// divider implements the two division strategies. The Balanced strategy
-// carries per-node transmit/receive occurrence counters across the whole
-// construction so over-coverage lands on the least-scheduled nodes.
-type divider struct {
-	strategy DivisionStrategy
-	txUse    []int
-	rxUse    []int
-}
-
-func newDivider(n int, strategy DivisionStrategy) *divider {
-	return &divider{
-		strategy: strategy,
-		txUse:    make([]int, n),
-		rxUse:    make([]int, n),
+	if need > 0 {
+		panic(fmt.Sprintf("core: pad could not reach αR = %d (n = %d, |T| = %d)", alphaR, rSet.Cap(), tSet.Count()))
 	}
 }
 
-func (d *divider) divideT(elems []int, size int) [][]int {
-	return d.divide(elems, size, d.txUse)
+// balancer implements the Balanced division. It carries per-node transmit
+// and receive occurrence counters across the whole construction so
+// over-coverage lands on the least-scheduled nodes.
+type balancer struct {
+	txUse, rxUse []int
+	elems        []int // reused: one slot set's elements at a time
 }
 
-func (d *divider) divideR(elems []int, size int) [][]int {
-	return d.divide(elems, size, d.rxUse)
+// subsets appends slot's Balanced division into subsets of the given size
+// to dst, each built element by element.
+func (b *balancer) subsets(dst []*bitset.Set, slot *bitset.Set, size int, use []int) []*bitset.Set {
+	b.elems = slot.AppendElements(b.elems[:0])
+	for _, sub := range divideBalanced(b.elems, size, use) {
+		dst = append(dst, bitset.FromSlice(slot.Cap(), sub))
+	}
+	return dst
 }
 
-// divide splits elems into k = ⌈m/size⌉ subsets, each of size
-// min(size, m), per lines 3-4 of Figure 2. Subsets may overlap; their
-// union is all of elems. Sequential subsets are read-only windows of
-// elems.
-func (d *divider) divide(elems []int, size int, use []int) [][]int {
+// divideBalanced splits elems into k = ⌈m/size⌉ subsets, each of size
+// min(size, m), per lines 3-4 of Figure 2: it deals elems round-robin,
+// then fills each subset to the target size with the globally least-used
+// elements not already present. Counts are updated as picks are made so
+// successive fills self-balance. Subsets may overlap; their union is all
+// of elems.
+func divideBalanced(elems []int, size int, use []int) [][]int {
 	m := len(elems)
 	if m == 0 {
 		return nil
@@ -185,29 +214,15 @@ func (d *divider) divide(elems []int, size int, use []int) [][]int {
 	}
 	k := combin.CeilDiv(m, size)
 	out := make([][]int, k)
-	switch d.strategy {
-	case Balanced:
-		// Deal round-robin, then fill each subset to the target size with
-		// the globally least-used elements not already present. Counts are
-		// updated as picks are made so successive fills self-balance.
-		for idx, e := range elems {
-			out[idx%k] = append(out[idx%k], e)
-			use[e]++
-		}
-		for j := range out {
-			for len(out[j]) < size {
-				pick := leastUsed(elems, out[j], use)
-				out[j] = append(out[j], pick)
-				use[pick]++
-			}
-		}
-	default: // Sequential
-		for j := 0; j < k; j++ {
-			start := j * size
-			if start+size > m {
-				start = m - size
-			}
-			out[j] = elems[start : start+size : start+size]
+	for idx, e := range elems {
+		out[idx%k] = append(out[idx%k], e)
+		use[e]++
+	}
+	for j := range out {
+		for len(out[j]) < size {
+			pick := leastUsed(elems, out[j], use)
+			out[j] = append(out[j], pick)
+			use[pick]++
 		}
 	}
 	return out
@@ -238,31 +253,20 @@ func leastUsed(elems, exclude []int, use []int) int {
 	return best
 }
 
-// pad implements line 8 of Figure 2: extend the receiver subset to exactly
-// alphaR nodes using nodes of V_n - T̄[k] (never creating a
-// transmit+receive conflict). Feasible because |T̄[k]| <= αT and
-// αT + αR <= n. Under the Balanced strategy the least receive-scheduled
-// eligible nodes are chosen; Sequential takes the smallest ids.
-func (d *divider) pad(rSet, tSet *bitset.Set, alphaR int) {
-	need := alphaR - rSet.Count()
-	if need <= 0 {
-		return
-	}
+// pad is line 8 of Figure 2 under Balanced: it extends the receiver
+// subset to exactly alphaR nodes of V_n - T̄[k] (never creating a
+// transmit+receive conflict), choosing the least receive-scheduled
+// eligible nodes, ties broken by id. Feasible because |T̄[k]| <= αT and
+// αT + αR <= n.
+func (b *balancer) pad(rSet, tSet *bitset.Set, alphaR int) {
 	n := rSet.Cap()
-	for ; need > 0; need-- {
+	for need := alphaR - rSet.Count(); need > 0; need-- {
 		pick := -1
 		for v := 0; v < n; v++ {
 			if tSet.Contains(v) || rSet.Contains(v) {
 				continue
 			}
-			if pick < 0 {
-				pick = v
-				if d.strategy != Balanced {
-					break // smallest id suffices
-				}
-				continue
-			}
-			if d.rxUse[v] < d.rxUse[pick] {
+			if pick < 0 || b.rxUse[v] < b.rxUse[pick] {
 				pick = v
 			}
 		}
@@ -270,6 +274,6 @@ func (d *divider) pad(rSet, tSet *bitset.Set, alphaR int) {
 			panic(fmt.Sprintf("core: pad could not reach αR = %d (n = %d, |T| = %d)", alphaR, n, tSet.Count()))
 		}
 		rSet.Add(pick)
-		d.rxUse[pick]++
+		b.rxUse[pick]++
 	}
 }

@@ -29,6 +29,9 @@ type Schedule struct {
 	n int
 	t []*bitset.Set // per slot, capacity n; slots may share a set
 	r []*bitset.Set
+	// The role census Σ_i |T[i]| and Σ_i |R[i]|, counted once by
+	// checkSlotSets in the pass that checks T[i] ∩ R[i] = ∅.
+	tCount, rCount int
 	// Per-node slot sets (capacity L) for the checkers and simulators:
 	// tran[x] = {i : x ∈ T[i]}, recv[x] = {i : x ∈ R[i]}. Each family is
 	// one block transpose of the slot sets, backed by a single slab. Both
@@ -71,43 +74,50 @@ func New(n int, t, r [][]int) (*Schedule, error) {
 // FromSets builds a schedule from per-slot bitsets. The sets are cloned;
 // callers may keep mutating their copies.
 func FromSets(n int, t, r []*bitset.Set) (*Schedule, error) {
-	if err := checkSlotSets(n, t, r); err != nil {
+	tCount, rCount, err := checkSlotSets(n, t, r)
+	if err != nil {
 		return nil, err
 	}
-	return newSchedule(n, cloneSets(t), cloneSets(r)), nil
+	return &Schedule{n: n, t: cloneSets(t), r: cloneSets(r), tCount: tCount, rCount: rCount}, nil
 }
 
 // fromOwnedSets is FromSets for slot sets this package built itself and
 // never touches again: they go into the schedule without a clone, and
-// several slots may share one set.
+// several slots may share one set. The per-node views are left for views
+// to derive on first read.
 func fromOwnedSets(n int, t, r []*bitset.Set) (*Schedule, error) {
-	if err := checkSlotSets(n, t, r); err != nil {
+	tCount, rCount, err := checkSlotSets(n, t, r)
+	if err != nil {
 		return nil, err
 	}
-	return newSchedule(n, t, r), nil
+	return &Schedule{n: n, t: t, r: r, tCount: tCount, rCount: rCount}, nil
 }
 
 // checkSlotSets validates per-slot sets for FromSets: equal positive
-// lengths, capacity n, and T[i] ∩ R[i] = ∅ in every slot.
-func checkSlotSets(n int, t, r []*bitset.Set) error {
+// lengths, capacity n, and T[i] ∩ R[i] = ∅ in every slot. In the same
+// pass it counts the role census Σ_i |T[i]| and Σ_i |R[i]|.
+func checkSlotSets(n int, t, r []*bitset.Set) (tCount, rCount int, err error) {
 	if n < 1 {
-		return fmt.Errorf("core: n = %d < 1", n)
+		return 0, 0, fmt.Errorf("core: n = %d < 1", n)
 	}
 	if len(t) == 0 || len(t) != len(r) {
-		return fmt.Errorf("core: need equal positive |T| and |R|, got %d and %d", len(t), len(r))
+		return 0, 0, fmt.Errorf("core: need equal positive |T| and |R|, got %d and %d", len(t), len(r))
 	}
 	for i := range t {
 		if t[i] == nil || r[i] == nil {
-			return fmt.Errorf("core: nil slot set at %d", i)
+			return 0, 0, fmt.Errorf("core: nil slot set at %d", i)
 		}
 		if t[i].Cap() != n || r[i].Cap() != n {
-			return fmt.Errorf("core: slot %d set capacity != n = %d", i, n)
+			return 0, 0, fmt.Errorf("core: slot %d set capacity != n = %d", i, n)
 		}
-		if t[i].Intersects(r[i]) {
-			return fmt.Errorf("core: slot %d has a node both transmitting and receiving", i)
+		ct, cr, disjoint := t[i].CountDisjoint(r[i])
+		if !disjoint {
+			return 0, 0, fmt.Errorf("core: slot %d has a node both transmitting and receiving", i)
 		}
+		tCount += ct
+		rCount += cr
 	}
-	return nil
+	return tCount, rCount, nil
 }
 
 func cloneSets(sets []*bitset.Set) []*bitset.Set {
@@ -116,12 +126,6 @@ func cloneSets(sets []*bitset.Set) []*bitset.Set {
 		out[i] = s.Clone()
 	}
 	return out
-}
-
-// newSchedule takes ownership of validated slot sets. The per-node views
-// are left for views to derive on first read.
-func newSchedule(n int, t, r []*bitset.Set) *Schedule {
-	return &Schedule{n: n, t: t, r: r}
 }
 
 // views returns the per-node view families tran and recv, transposing the
@@ -157,18 +161,22 @@ func NonSleeping(n int, t [][]int) (*Schedule, error) {
 	return nonSleeping(n, ts)
 }
 
-// NonSleepingFromSets is NonSleeping for prebuilt transmitter bitsets.
+// NonSleepingFromSets is NonSleeping for prebuilt transmitter bitsets of
+// capacity n, one per slot. The schedule takes ownership of the sets: the
+// caller must not modify them afterwards. It is how a construction that
+// writes its slot sets directly, such as the polynomial base
+// (cff.PolynomialSlots), enters the package.
 func NonSleepingFromSets(n int, t []*bitset.Set) (*Schedule, error) {
 	for i := range t {
 		if t[i] == nil {
 			return nil, fmt.Errorf("core: nil transmitter set at slot %d", i)
 		}
 	}
-	return nonSleeping(n, cloneSets(t))
+	return nonSleeping(n, t)
 }
 
-// nonSleeping is NonSleepingFromSets for transmitter sets the package
-// owns.
+// nonSleeping builds the receiver sets R[i] = V_n - T[i] for transmitter
+// sets the package owns.
 func nonSleeping(n int, t []*bitset.Set) (*Schedule, error) {
 	rs := make([]*bitset.Set, len(t))
 	full := bitset.New(n)
@@ -235,14 +243,11 @@ func (s *Schedule) Recv(x int) *bitset.Set {
 	return recv[x]
 }
 
-// IsNonSleeping reports whether T[i] ∪ R[i] = V_n in every slot.
+// IsNonSleeping reports whether T[i] ∪ R[i] = V_n in every slot. T[i] and
+// R[i] are disjoint subsets of V_n, so no slot has more than n active
+// nodes, and every slot has exactly n when the role census totals n·L.
 func (s *Schedule) IsNonSleeping() bool {
-	for i := range s.t {
-		if s.t[i].Count()+s.r[i].Count() != s.n {
-			return false
-		}
-	}
-	return true
+	return s.tCount+s.rCount == s.n*len(s.t)
 }
 
 // IsAlphaSchedule reports whether the schedule is an (αT, αR)-schedule:
@@ -327,16 +332,17 @@ func (s *Schedule) TSlots(x, y int, set []int) *bitset.Set {
 	return fs
 }
 
+// RoleCensus returns Σ_i |T[i]| and Σ_i |R[i]|: how many (node, slot)
+// pairs of a frame may transmit and may receive. The schedule counted both
+// once, when it was built.
+func (s *Schedule) RoleCensus() (transmit, receive int) { return s.tCount, s.rCount }
+
 // ActiveFraction returns the average fraction of nodes active (transmitting
 // or receiving) per slot: Σ_i (|T[i]| + |R[i]|) / (n·L). It is 1 exactly
 // for non-sleeping schedules; lower values mean more sleep and hence less
 // energy spent.
 func (s *Schedule) ActiveFraction() float64 {
-	active := 0
-	for i := range s.t {
-		active += s.t[i].Count() + s.r[i].Count()
-	}
-	return float64(active) / (float64(s.n) * float64(len(s.t)))
+	return float64(s.tCount+s.rCount) / (float64(s.n) * float64(len(s.t)))
 }
 
 // DutyCycle returns the fraction of slots in which node x is active.

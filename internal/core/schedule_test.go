@@ -93,9 +93,26 @@ func TestNonSleepingComplement(t *testing.T) {
 }
 
 // checkNodeViews compares every node's Tran and Recv views with a
-// bit-by-bit transpose of the slot sets.
+// bit-by-bit transpose of the slot sets, and the role census that
+// RoleCensus, ActiveFraction and IsNonSleeping read with a recount of
+// every slot.
 func checkNodeViews(t *testing.T, name string, s *Schedule) {
 	t.Helper()
+	tc, rc, nonSleeping := 0, 0, true
+	for i := 0; i < s.L(); i++ {
+		tc += s.T(i).Count()
+		rc += s.R(i).Count()
+		nonSleeping = nonSleeping && s.T(i).Count()+s.R(i).Count() == s.N()
+	}
+	if gt, gr := s.RoleCensus(); gt != tc || gr != rc {
+		t.Fatalf("%s: RoleCensus() = %d, %d, want %d, %d", name, gt, gr, tc, rc)
+	}
+	if want := float64(tc+rc) / float64(s.N()*s.L()); s.ActiveFraction() != want {
+		t.Fatalf("%s: ActiveFraction() = %v, want %v", name, s.ActiveFraction(), want)
+	}
+	if s.IsNonSleeping() != nonSleeping {
+		t.Fatalf("%s: IsNonSleeping() = %v, want %v", name, s.IsNonSleeping(), nonSleeping)
+	}
 	for x := 0; x < s.N(); x++ {
 		tran, recv := bitset.New(s.L()), bitset.New(s.L())
 		for i := 0; i < s.L(); i++ {

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,6 +273,48 @@ func TestResumeTornTail(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("journal after torn-tail resume differs from clean run")
+	}
+}
+
+// TestOpenJournalCorruptLine: a complete line that does not parse in the
+// middle of a journal is corruption, not a torn tail. OpenJournal must fail
+// naming the line and leave the file whole, instead of truncating it there
+// and dropping the records after it.
+func TestOpenJournalCorruptLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := Jobs(testCampaign(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{Workers: 1, Journal: j}).Run(context.Background(), jobs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := bytes.IndexByte(data, '\n') + 1
+	corrupt := append([]byte(nil), data...)
+	corrupt[second] = 'x' // line 2 no longer opens a JSON object
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), "line 2 ") {
+		t.Fatalf("OpenJournal on a corrupt line 2 returned %v, want an error naming line 2", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, corrupt) {
+		t.Fatalf("failed OpenJournal changed the file from %d to %d bytes", len(corrupt), len(after))
 	}
 }
 

@@ -13,9 +13,12 @@ import (
 // job-index order, appended as jobs finish. Opening an existing journal
 // loads its records, which Engine.Run uses as the finished set for resume.
 //
-// A run killed mid-write can leave a torn final line; Open truncates the
-// file back to the last complete record, so the journal is always a clean
-// prefix of the full campaign and appends continue from there. Because
+// A run killed mid-write can leave a torn final line, a fragment with no
+// newline; Open truncates the file back to the last complete record, so
+// the journal is always a clean prefix of the full campaign and appends
+// continue from there. A complete line that does not parse is corruption,
+// not a torn write: Open fails, names the line and leaves the file as it
+// is, rather than drop the records after it. Because
 // records carry no wall-clock fields and are written in index order, the
 // journal of an interrupted-then-resumed campaign is byte-identical to the
 // journal of an uninterrupted one.
@@ -40,26 +43,25 @@ func OpenJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
-// load parses the existing file and truncates any torn trailing line.
+// load parses every complete line of the existing file and truncates a
+// torn final fragment. A complete line that does not parse is an error.
 func (j *Journal) load() error {
 	data, err := io.ReadAll(j.f)
 	if err != nil {
 		return fmt.Errorf("engine: read journal: %w", err)
 	}
 	goodEnd := 0
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
+	for line := 1; ; line++ {
+		nl := bytes.IndexByte(data[goodEnd:], '\n')
 		if nl < 0 {
-			break // no newline: torn tail from a killed run
+			break // no newline: torn tail from a killed run, or none
 		}
-		line := data[off : off+nl]
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // unparsable tail; keep the prefix before it
+		if err := json.Unmarshal(data[goodEnd:goodEnd+nl], &rec); err != nil {
+			return fmt.Errorf("engine: journal line %d does not parse: %v", line, err)
 		}
 		j.records = append(j.records, rec)
-		off += nl + 1
-		goodEnd = off
+		goodEnd += nl + 1
 	}
 	if goodEnd < len(data) {
 		if err := j.f.Truncate(int64(goodEnd)); err != nil {

@@ -427,7 +427,7 @@ func Build(k Key) (*core.Schedule, error) { return BuildLimited(k, ServingLimits
 // BuildLimited is Build with an explicit n×L budget.
 func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 	// The parameter search is a cheap scalar loop; budget-check the
-	// resulting frame before materializing n member sets over it.
+	// resulting frame before materializing its slot sets.
 	params, err := cff.FindPolynomialParams(k.N, k.D)
 	if err != nil {
 		return nil, err
@@ -435,11 +435,11 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 	if err := lim.CheckBase(k, params.FrameLength()); err != nil {
 		return nil, err
 	}
-	fam, err := cff.PolynomialFor(k.N, k.D)
+	slots, err := cff.PolynomialSlots(k.N, params)
 	if err != nil {
 		return nil, err
 	}
-	ns, err := core.ScheduleFromFamily(fam.L, fam.Sets)
+	ns, err := core.NonSleepingFromSets(k.N, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +462,8 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 
 // CheckBase reports whether the base schedule for k's class, whose frame
 // length l a closed form gives, fits lim's n×L budget. Every base
-// construction a cache answers for is checked this way before n member
-// sets over l slots are materialized.
+// construction a cache answers for is checked this way before its sets
+// are materialized.
 func (lim Limits) CheckBase(k Key, l int) error {
 	if !lim.fits(k.N, l) {
 		return fmt.Errorf("schedcache: base schedule for N(%d, %d) needs frame length %d; n×L = %v exceeds the build budget %d",

@@ -102,22 +102,28 @@ func NewSaturationKernel(s *core.Schedule, n int) (*SaturationKernel, error) {
 	}
 	l := s.L()
 	k := &SaturationKernel{s: s, n: n, l: l}
-	for i := 0; i < l; i++ {
-		k.txPerFrame += countBelow(s.T(i).Words(), n)
-		k.rxPerFrame += countBelow(s.R(i).Words(), n)
+	// The schedule's role census counts its whole universe; take away the
+	// nodes at or beyond n, which exist in no topology. When the graph
+	// covers the universe there are none, and no word is counted.
+	k.txPerFrame, k.rxPerFrame = s.RoleCensus()
+	if n < s.N() {
+		for i := 0; i < l; i++ {
+			k.txPerFrame -= countFrom(s.T(i).Words(), n)
+			k.rxPerFrame -= countFrom(s.R(i).Words(), n)
+		}
 	}
 	return k, nil
 }
 
-// countBelow returns the number of set bits below bit n of a set's words.
-func countBelow(words []uint64, n int) int {
+// countFrom returns the number of set bits at or beyond bit n of a set's
+// words; n must not exceed the set's capacity.
+func countFrom(words []uint64, n int) int {
 	c := 0
-	full := n / wordBits
-	for _, w := range words[:full] {
-		c += bits.OnesCount64(w)
-	}
 	if r := n % wordBits; r != 0 {
-		c += bits.OnesCount64(words[full] & (uint64(1)<<uint(r) - 1))
+		c += bits.OnesCount64(words[n/wordBits] >> uint(r))
+	}
+	for _, w := range words[(n+wordBits-1)/wordBits:] {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }

@@ -110,11 +110,15 @@ func TDMA(n int) (*Schedule, error) {
 // feasible field. Frame length is q² with q the least prime power
 // admitting n nodes at degree bound D.
 func PolynomialSchedule(n, d int) (*Schedule, error) {
-	fam, err := cff.PolynomialFor(n, d)
+	p, err := cff.FindPolynomialParams(n, d)
 	if err != nil {
 		return nil, err
 	}
-	return core.ScheduleFromFamily(fam.L, fam.Sets)
+	slots, err := cff.PolynomialSlots(n, p)
+	if err != nil {
+		return nil, err
+	}
+	return core.NonSleepingFromSets(n, slots)
 }
 
 // SteinerSchedule returns a topology-transparent non-sleeping schedule for
