@@ -9,7 +9,8 @@
 //   - <Prefix>Naive / <Prefix>Prefix — the old-vs-new kernel comparison
 //     of internal/core's prefix-cached verification rewrite;
 //   - <Prefix>Legacy / <Prefix>Fast — the sim reference loop vs the
-//     struct-of-arrays kernels;
+//     struct-of-arrays kernels, and bitset's Go transpose vs its AVX-512
+//     block kernel;
 //   - <Prefix>Shards1 / <Prefix>ShardsMax — the sequential kernel vs the
 //     sharded slot kernel at one shard per CPU.
 //
@@ -23,10 +24,15 @@
 // a run into an existing file instead of replacing it, so the scale entries
 // coexist with the standard ones.
 //
+// Repeated lines of one benchmark (`go test -count N`) fold into one
+// entry: every column is the median of its runs, the entry keeps the
+// fastest and slowest ns/op and the run count as its noise bound, and the
+// speedup pairs are derived from the medians.
+//
 // Usage (see the Makefile bench and bench-scale targets):
 //
 //	go test -run xxx -bench . -benchmem ./internal/engine | ttdcbench -o BENCH_engine.json
-//	go test -run xxx -bench . -benchmem ./internal/core | ttdcbench -o BENCH_core.json
+//	go test -run xxx -bench . -benchmem -count 5 ./internal/sim ./internal/bitset | ttdcbench -merge -o BENCH_sim.json
 //	TTDC_SCALE=1 go test -run xxx -bench Scale -benchtime 1x ./internal/sim | ttdcbench -merge -o BENCH_sim.json
 package main
 
@@ -38,17 +44,26 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's result: one parsed line, or the fold of
+// its repeated lines.
 type Benchmark struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  float64 `json:"bytesPerOp,omitempty"`
 	AllocsPerOp float64 `json:"allocsPerOp,omitempty"`
+	// Runs is how many result lines the benchmark had; NsPerOp and the
+	// other columns are then their medians, and MinNsPerOp and MaxNsPerOp
+	// the fastest and slowest run. Zero only in documents written before
+	// these fields existed, where the one run's spread is unknown.
+	Runs       int     `json:"runs,omitempty"`
+	MinNsPerOp float64 `json:"minNsPerOp,omitempty"`
+	MaxNsPerOp float64 `json:"maxNsPerOp,omitempty"`
 	// Extra holds custom b.ReportMetric units the line carried beyond the
 	// standard three — the scale benchmarks report "peakRSS-MB",
 	// "gomaxprocs", and "numcpu" so a number taken on an affinity-pinned
@@ -195,8 +210,69 @@ func parse(r io.Reader) (*File, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	doc.Benchmarks = foldRuns(doc.Benchmarks)
 	doc.Speedups = deriveSpeedups(doc.Benchmarks)
 	return doc, nil
+}
+
+// foldRuns merges the lines of each benchmark name into one entry, in
+// first-seen order. Every numeric column becomes the median of its runs
+// (the mean of the middle two for an even count); the fastest and
+// slowest ns/op and the run count are kept beside it.
+func foldRuns(lines []Benchmark) []Benchmark {
+	var order []string
+	runs := make(map[string][]Benchmark)
+	for _, b := range lines {
+		if _, ok := runs[b.Name]; !ok {
+			order = append(order, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		col := func(field func(Benchmark) float64) float64 {
+			vs := make([]float64, len(rs))
+			for i, r := range rs {
+				vs[i] = field(r)
+			}
+			return median(vs)
+		}
+		b := Benchmark{
+			Name:        name,
+			Iterations:  int64(col(func(r Benchmark) float64 { return float64(r.Iterations) })),
+			NsPerOp:     col(func(r Benchmark) float64 { return r.NsPerOp }),
+			BytesPerOp:  col(func(r Benchmark) float64 { return r.BytesPerOp }),
+			AllocsPerOp: col(func(r Benchmark) float64 { return r.AllocsPerOp }),
+			Runs:        len(rs),
+			MinNsPerOp:  rs[0].NsPerOp,
+			MaxNsPerOp:  rs[0].NsPerOp,
+			Procs:       rs[0].Procs,
+		}
+		for _, r := range rs {
+			b.MinNsPerOp = min(b.MinNsPerOp, r.NsPerOp)
+			b.MaxNsPerOp = max(b.MaxNsPerOp, r.NsPerOp)
+		}
+		for unit := range rs[0].Extra {
+			if b.Extra == nil {
+				b.Extra = make(map[string]float64)
+			}
+			b.Extra[unit] = col(func(r Benchmark) float64 { return r.Extra[unit] })
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the middle two
+// for an even count. It sorts vs.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // parseBenchLine parses one result line, e.g.
@@ -253,7 +329,7 @@ var speedupPairs = []struct {
 }{
 	{"Workers1", "WorkersMax", true}, // engine serial vs worker pool
 	{"Naive", "Prefix", false},       // core naive scan vs prefix-cached kernel
-	{"Legacy", "Fast", false},        // sim reference loop vs struct-of-arrays path
+	{"Legacy", "Fast", false},        // sim reference loop vs struct-of-arrays path; Go vs AVX-512 transpose
 	{"Shards1", "ShardsMax", true},   // sim sequential kernel vs sharded slot kernel
 }
 

@@ -105,3 +105,47 @@ func TestNoBenchmarksErrors(t *testing.T) {
 		t.Fatal("empty bench output accepted")
 	}
 }
+
+// TestRepeatedRunsFold checks that the lines of `go test -count` fold
+// into one entry per benchmark: medians for an odd and an even run
+// count, the fastest and slowest ns/op, the run count, custom units, and
+// a speedup taken from the two medians.
+func TestRepeatedRunsFold(t *testing.T) {
+	const counted = `pkg: repro/internal/bitset
+BenchmarkWindowLegacy-2 	10	 300 ns/op	 0 B/op	 0 allocs/op
+BenchmarkWindowFast-2   	40	  25 ns/op	 0 B/op	 0 allocs/op
+BenchmarkWindowLegacy-2 	12	 100 ns/op	 0 B/op	 0 allocs/op
+BenchmarkWindowFast-2   	50	  15 ns/op	 0 B/op	 0 allocs/op
+BenchmarkWindowLegacy-2 	11	 200 ns/op	 0 B/op	 0 allocs/op
+BenchmarkScale 	1	 9000 ns/op	 8 B/op	 3 allocs/op	 311 peakRSS-MB
+BenchmarkScale 	1	 7000 ns/op	 8 B/op	 5 allocs/op	 313 peakRSS-MB
+`
+	var out, errOut bytes.Buffer
+	if err := run(nil, strings.NewReader(counted), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	var doc File
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 3 {
+		t.Fatalf("%d entries, want one per benchmark name: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	legacy, fast, scale := doc.Benchmarks[0], doc.Benchmarks[1], doc.Benchmarks[2]
+	if legacy.Name != "BenchmarkWindowLegacy" || legacy.Runs != 3 || legacy.NsPerOp != 200 ||
+		legacy.MinNsPerOp != 100 || legacy.MaxNsPerOp != 300 || legacy.Iterations != 11 || legacy.Procs != 2 {
+		t.Errorf("legacy = %+v, want 3 runs, median 200 in [100, 300], 11 iterations", legacy)
+	}
+	if fast.Name != "BenchmarkWindowFast" || fast.Runs != 2 || fast.NsPerOp != 20 ||
+		fast.MinNsPerOp != 15 || fast.MaxNsPerOp != 25 || fast.Iterations != 45 {
+		t.Errorf("fast = %+v, want 2 runs, median 20 in [15, 25], 45 iterations", fast)
+	}
+	if scale.Runs != 2 || scale.NsPerOp != 8000 || scale.AllocsPerOp != 4 || scale.BytesPerOp != 8 ||
+		scale.Extra["peakRSS-MB"] != 312 {
+		t.Errorf("scale = %+v, want medians 8000 ns, 4 allocs, 8 B, 312 peakRSS-MB", scale)
+	}
+	if len(doc.Speedups) != 1 || doc.Speedups[0].Name != "Window" ||
+		doc.Speedups[0].SerialNs != 200 || doc.Speedups[0].MaxNs != 20 || doc.Speedups[0].Speedup != 10 {
+		t.Errorf("speedups = %+v, want Window 200/20 = 10 from the medians", doc.Speedups)
+	}
+}

@@ -17,6 +17,8 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
+
+	"repro/internal/cpufeat"
 )
 
 const wordBits = 64
@@ -437,7 +439,8 @@ func TransposeWindow(rows []*Set, dst []uint64) {
 // transposeBlock loads word cw of each of at most 64 rows into blk, zero
 // for a row that ends before it and for the rows beyond len(src), and
 // transposes the block: afterwards bit k of blk[j] is element cw*64+j of
-// row k.
+// row k. The AVX-512 kernel transposes where the CPU has it, the Go loop
+// everywhere else; both give the same words.
 func transposeBlock(blk *[wordBits]uint64, src [][]uint64, cw int) {
 	for k, w := range src {
 		blk[k&63] = 0
@@ -448,6 +451,10 @@ func transposeBlock(blk *[wordBits]uint64, src [][]uint64, cw int) {
 	for k := len(src); k < wordBits; k++ {
 		blk[k&63] = 0
 	}
+	if cpufeat.TransposeKernel {
+		transpose64Kernel(blk)
+		return
+	}
 	transpose64(blk)
 }
 
@@ -455,7 +462,8 @@ func transposeBlock(blk *[wordBits]uint64, src [][]uint64, cw int) {
 // of a word being column j: afterwards bit k of a[j] holds what bit j of
 // a[k] held. Each round swaps the off-diagonal halves of every diagonal
 // block, blocks of 64 rows first, then 32, ..., then 2 (Hacker's Delight
-// §7-3, for least-significant-bit-first columns).
+// §7-3, for least-significant-bit-first columns). It is the only path
+// off AVX-512 and the oracle for transpose64Kernel.
 func transpose64(a *[wordBits]uint64) {
 	swapBlocks(a, 32, 0x00000000FFFFFFFF)
 	swapBlocks(a, 16, 0x0000FFFF0000FFFF)

@@ -1,12 +1,15 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cpufeat"
 )
 
 func TestNewEmpty(t *testing.T) {
@@ -445,43 +448,65 @@ func checkTranspose(t *testing.T, name string, rows []*Set, cols int) {
 	}
 }
 
-func TestTransposeMatchesBitByBit(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	sizes := []int{0, 1, 63, 64, 65, 130}
-	fills := map[string]func(n int) *Set{
-		"zero": New,
-		"one": func(n int) *Set {
-			s := New(n)
-			for i := 0; i < n; i++ {
-				s.Add(i)
-			}
-			return s
-		},
-		"random": func(n int) *Set { return randomSet(r, n) },
-	}
-	for _, fill := range []string{"zero", "one", "random"} {
-		for _, nrows := range sizes {
-			for _, cols := range sizes {
-				rows := make([]*Set, nrows)
-				for i := range rows {
-					rows[i] = fills[fill](cols)
-				}
-				checkTranspose(t, fmt.Sprintf("%s %dx%d", fill, nrows, cols), rows, cols)
-			}
-		}
+// withTransposeKernel runs f with the transpose kernel switched on or off,
+// then restores the switch.
+func withTransposeKernel(on bool, f func()) {
+	defer func(was bool) { cpufeat.TransposeKernel = was }(cpufeat.TransposeKernel)
+	cpufeat.TransposeKernel = on
+	f()
+}
+
+// onTransposePaths runs check once per transpose path this host has, as
+// the subtests goloop and, where the CPU has AVX-512F, AVX-512VBMI and
+// GFNI, kernel.
+func onTransposePaths(t *testing.T, check func(t *testing.T)) {
+	t.Run("goloop", func(t *testing.T) { withTransposeKernel(false, func() { check(t) }) })
+	if cpufeat.TransposeKernel {
+		t.Run("kernel", check)
 	}
 }
 
+func TestTransposeMatchesBitByBit(t *testing.T) {
+	onTransposePaths(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(7))
+		sizes := []int{0, 1, 63, 64, 65, 130}
+		fills := map[string]func(n int) *Set{
+			"zero": New,
+			"one": func(n int) *Set {
+				s := New(n)
+				for i := 0; i < n; i++ {
+					s.Add(i)
+				}
+				return s
+			},
+			"random": func(n int) *Set { return randomSet(r, n) },
+		}
+		for _, fill := range []string{"zero", "one", "random"} {
+			for _, nrows := range sizes {
+				for _, cols := range sizes {
+					rows := make([]*Set, nrows)
+					for i := range rows {
+						rows[i] = fills[fill](cols)
+					}
+					checkTranspose(t, fmt.Sprintf("%s %dx%d", fill, nrows, cols), rows, cols)
+				}
+			}
+		}
+	})
+}
+
 func TestTransposeUnevenRows(t *testing.T) {
-	// Rows shorter than cols read as zero-padded; elements at or beyond
-	// cols are dropped; a row may repeat.
-	r := rand.New(rand.NewSource(11))
-	short, long := randomSet(r, 40), randomSet(r, 200)
-	long.Add(199)
-	rows := []*Set{short, long, New(0), long, randomSet(r, 130)}
-	for _, cols := range []int{0, 39, 64, 100, 130, 199, 200, 260} {
-		checkTranspose(t, fmt.Sprintf("uneven x%d", cols), rows, cols)
-	}
+	onTransposePaths(t, func(t *testing.T) {
+		// Rows shorter than cols read as zero-padded; elements at or beyond
+		// cols are dropped; a row may repeat.
+		r := rand.New(rand.NewSource(11))
+		short, long := randomSet(r, 40), randomSet(r, 200)
+		long.Add(199)
+		rows := []*Set{short, long, New(0), long, randomSet(r, 130)}
+		for _, cols := range []int{0, 39, 64, 100, 130, 199, 200, 260} {
+			checkTranspose(t, fmt.Sprintf("uneven x%d", cols), rows, cols)
+		}
+	})
 }
 
 func TestTransposeViewsAreSeparate(t *testing.T) {
@@ -509,65 +534,67 @@ func TestTransposeViewsAreSeparate(t *testing.T) {
 // 130-row matrix in windows of 64, 64 and 2 rows, the last one short, and
 // requires each window to give the matching word of Transpose.
 func TestTransposeWindowMatchesBitByBit(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	full := func(n int) *Set {
-		s := New(n)
-		for i := 0; i < n; i++ {
-			s.Add(i)
+	onTransposePaths(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(5))
+		full := func(n int) *Set {
+			s := New(n)
+			for i := 0; i < n; i++ {
+				s.Add(i)
+			}
+			return s
 		}
-		return s
-	}
-	for _, fill := range []string{"one", "random"} {
-		for _, nrows := range []int{0, 1, 63, 64} {
-			for _, cols := range []int{0, 1, 63, 64, 65, 130} {
-				rows := make([]*Set, nrows)
-				for i := range rows {
-					capacity := []int{40, cols, 200}[i%3]
-					if fill == "one" {
-						rows[i] = full(capacity)
-					} else {
-						rows[i] = randomSet(r, capacity)
-					}
-				}
-				dst := make([]uint64, cols)
-				for j := range dst {
-					dst[j] = ^uint64(0)
-				}
-				TransposeWindow(rows, dst)
-				for j := range dst {
-					want := uint64(0)
-					for k, row := range rows {
-						if row.Contains(j) {
-							want |= 1 << uint(k)
+		for _, fill := range []string{"one", "random"} {
+			for _, nrows := range []int{0, 1, 63, 64} {
+				for _, cols := range []int{0, 1, 63, 64, 65, 130} {
+					rows := make([]*Set, nrows)
+					for i := range rows {
+						capacity := []int{40, cols, 200}[i%3]
+						if fill == "one" {
+							rows[i] = full(capacity)
+						} else {
+							rows[i] = randomSet(r, capacity)
 						}
 					}
-					if dst[j] != want {
-						t.Fatalf("%s %dx%d: column %d = %#x, want %#x", fill, nrows, cols, j, dst[j], want)
+					dst := make([]uint64, cols)
+					for j := range dst {
+						dst[j] = ^uint64(0)
+					}
+					TransposeWindow(rows, dst)
+					for j := range dst {
+						want := uint64(0)
+						for k, row := range rows {
+							if row.Contains(j) {
+								want |= 1 << uint(k)
+							}
+						}
+						if dst[j] != want {
+							t.Fatalf("%s %dx%d: column %d = %#x, want %#x", fill, nrows, cols, j, dst[j], want)
+						}
 					}
 				}
 			}
 		}
-	}
-	rows := make([]*Set, 130)
-	for i := range rows {
-		rows[i] = randomSet(r, 130)
-	}
-	want := Transpose(rows, 130)
-	dst := make([]uint64, 130)
-	for lo := 0; lo < len(rows); lo += 64 {
-		TransposeWindow(rows[lo:min(lo+64, len(rows))], dst)
-		for j := range dst {
-			if w := want[j].Words()[lo/64]; dst[j] != w {
-				t.Fatalf("window at row %d: column %d = %#x, Transpose has %#x", lo, j, dst[j], w)
+		rows := make([]*Set, 130)
+		for i := range rows {
+			rows[i] = randomSet(r, 130)
+		}
+		want := Transpose(rows, 130)
+		dst := make([]uint64, 130)
+		for lo := 0; lo < len(rows); lo += 64 {
+			TransposeWindow(rows[lo:min(lo+64, len(rows))], dst)
+			for j := range dst {
+				if w := want[j].Words()[lo/64]; dst[j] != w {
+					t.Fatalf("window at row %d: column %d = %#x, Transpose has %#x", lo, j, dst[j], w)
+				}
 			}
 		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TransposeWindow of 65 rows did not panic")
-		}
-	}()
-	TransposeWindow(rows[:65], dst)
+		defer func() {
+			if recover() == nil {
+				t.Error("TransposeWindow of 65 rows did not panic")
+			}
+		}()
+		TransposeWindow(rows[:65], dst)
+	})
 }
 
 func BenchmarkTranspose(b *testing.B) {
@@ -585,6 +612,154 @@ func BenchmarkTranspose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Transpose(rows, 8192)
+	}
+}
+
+// checkTranspose64Kernel holds transpose64Kernel to transpose64 on one
+// block.
+func checkTranspose64Kernel(t *testing.T, name string, blk *[wordBits]uint64) {
+	t.Helper()
+	got, want := *blk, *blk
+	transpose64Kernel(&got)
+	transpose64(&want)
+	if got != want {
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("%s: word %d = %#x, the Go loop gives %#x", name, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestTranspose64Kernel holds the AVX-512 kernel to the Go loop on every
+// single-bit block, where the one set bit must also land at its mirror
+// position, on the all-zero and all-ones blocks, and on random blocks of
+// several densities.
+func TestTranspose64Kernel(t *testing.T) {
+	if !cpufeat.TransposeKernel {
+		t.Skip("no AVX-512F, AVX-512VBMI and GFNI here: every transpose runs the Go loop")
+	}
+	for k := 0; k < wordBits; k++ {
+		for j := 0; j < wordBits; j++ {
+			var blk [wordBits]uint64
+			blk[k] = 1 << uint(j)
+			name := fmt.Sprintf("bit %d of row %d", j, k)
+			checkTranspose64Kernel(t, name, &blk)
+			transpose64Kernel(&blk)
+			for w, v := range blk {
+				want := uint64(0)
+				if w == j {
+					want = 1 << uint(k)
+				}
+				if v != want {
+					t.Fatalf("%s: word %d = %#x, want %#x", name, w, v, want)
+				}
+			}
+		}
+	}
+	var zero, ones [wordBits]uint64
+	for k := range ones {
+		ones[k] = ^uint64(0)
+	}
+	checkTranspose64Kernel(t, "zero", &zero)
+	checkTranspose64Kernel(t, "ones", &ones)
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 10000; i++ {
+		var blk [wordBits]uint64
+		for k := range blk {
+			blk[k] = r.Uint64()
+			// Every fourth block sparse, every fourth dense.
+			switch i % 4 {
+			case 1:
+				blk[k] &= r.Uint64() & r.Uint64()
+			case 2:
+				blk[k] |= r.Uint64() | r.Uint64()
+			}
+		}
+		checkTranspose64Kernel(t, fmt.Sprintf("random block %d", i), &blk)
+	}
+}
+
+// FuzzTranspose64 holds the AVX-512 kernel to the Go loop on a block of
+// 512 fuzzed bytes, little-endian words, zero-padded when shorter.
+func FuzzTranspose64(f *testing.F) {
+	if !cpufeat.TransposeKernel {
+		f.Skip("no AVX-512F, AVX-512VBMI and GFNI here: every transpose runs the Go loop")
+	}
+	seq := make([]byte, 8*wordBits)
+	for i := range seq {
+		seq[i] = byte(i)
+	}
+	f.Add(seq)
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf [8 * wordBits]byte
+		copy(buf[:], data)
+		var blk [wordBits]uint64
+		for k := range blk {
+			blk[k] = binary.LittleEndian.Uint64(buf[8*k:])
+		}
+		checkTranspose64Kernel(t, "fuzzed block", &blk)
+	})
+}
+
+// The Legacy/Fast pairs below are the Go loop against the AVX-512
+// kernel; cmd/ttdcbench derives their ratios. Transpose64 times one block
+// in place, TransposeWindow one window with its gather and copy-out.
+func BenchmarkTranspose64Legacy(b *testing.B) { benchTranspose64(b, transpose64) }
+
+func BenchmarkTranspose64Fast(b *testing.B) {
+	if !cpufeat.TransposeKernel {
+		b.Skip("no AVX-512F, AVX-512VBMI and GFNI here")
+	}
+	benchTranspose64(b, transpose64Kernel)
+}
+
+func benchTranspose64(b *testing.B, transpose func(*[wordBits]uint64)) {
+	r := rand.New(rand.NewSource(1))
+	var blk [wordBits]uint64
+	for k := range blk {
+		blk[k] = r.Uint64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		transpose(&blk)
+	}
+}
+
+// benchWindowRows is one window of the campaign's saturation jobs: 64
+// slots over 8,500 nodes, each slot receiving at 2,000 of them, as at
+// the (250, 2000) duty point.
+func benchWindowRows() ([]*Set, []uint64) {
+	r := rand.New(rand.NewSource(1))
+	const n = 8500
+	rows := make([]*Set, wordBits)
+	for i := range rows {
+		rows[i] = New(n)
+		for _, e := range r.Perm(n)[:2000] {
+			rows[i].Add(e)
+		}
+	}
+	return rows, make([]uint64, n)
+}
+
+func BenchmarkTransposeWindowLegacy(b *testing.B) {
+	withTransposeKernel(false, func() { benchTransposeWindow(b) })
+}
+
+func BenchmarkTransposeWindowFast(b *testing.B) {
+	if !cpufeat.TransposeKernel {
+		b.Skip("no AVX-512F, AVX-512VBMI and GFNI here")
+	}
+	benchTransposeWindow(b)
+}
+
+func benchTransposeWindow(b *testing.B) {
+	rows, dst := benchWindowRows()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TransposeWindow(rows, dst)
 	}
 }
 

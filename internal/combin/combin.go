@@ -27,11 +27,6 @@ func Binomial(n, k int) *big.Int {
 	return new(big.Int).Binomial(int64(n), int64(k))
 }
 
-// BinomialRat returns C(n, k) as a big.Rat.
-func BinomialRat(n, k int) *big.Rat {
-	return new(big.Rat).SetInt(Binomial(n, k))
-}
-
 // Rat returns the exact rational a/b. It panics if b == 0.
 func Rat(a, b int64) *big.Rat {
 	return big.NewRat(a, b)

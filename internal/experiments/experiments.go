@@ -92,16 +92,3 @@ func Run(id string) (*Result, error) {
 	res.Title = e.title
 	return res, nil
 }
-
-// RunAll executes every experiment in order.
-func RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		r, err := Run(id)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -153,6 +153,34 @@ func BenchmarkSaturationJob(b *testing.B) {
 // benchSat keeps the measured runs from being optimized away.
 var benchSat *SaturationResult
 
+// BenchmarkSaturationReusedKernel is a kernel shared across runs, as the
+// engine shares one per (schedule, n): the kernel is built once, on the
+// Construct output of N(8300, 2), (250, 2000), and each iteration is one
+// two-frame Run on its CSR regular topology. A kernel keeps no transposed
+// windows, so every Run transposes the whole frame again.
+func BenchmarkSaturationReusedKernel(b *testing.B) {
+	const n, d = 8300, 2
+	s, err := core.Construct(benchPolySchedule(b, n, d), core.ConstructOptions{AlphaT: 250, AlphaR: 2000, D: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := topology.Regularish(n, d)
+	k, err := NewSaturationKernel(s, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if benchSat, err = k.Run(g, 2, DefaultEnergy()); err != nil { // warm the pooled scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchSat, err = k.Run(g, 2, DefaultEnergy()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConvergecastCampaignJob is the simulator's share of one job of
 // the campaign benchmark's convergecast grid at its (αT, αR) = (20, 120)
 // point: one warm Run of a kernel built once, on a 20×20 grid with sink

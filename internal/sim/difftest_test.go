@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/cpufeat"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -18,6 +19,30 @@ import (
 // paths derive all floats through the shared integer-census finalizers
 // (finishSaturation, finishConvergecast) and consume the arrival RNG in
 // the same order; a tolerance here would hide a broken pinning contract.
+
+// transposePaths lists the bitset transpose paths this host runs: the Go
+// loop alone, and, where the CPU has AVX-512F, AVX-512VBMI and GFNI, the
+// kernel. Both simulator kernels read their slot windows through it.
+func transposePaths() []bool {
+	if cpufeat.TransposeKernel {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// withTransposeKernel runs f with bitset's transpose kernel switched on
+// or off, then restores the switch; a failure in f is logged with the
+// path it ran on.
+func withTransposeKernel(t *testing.T, on bool, f func()) {
+	defer func(was bool) {
+		cpufeat.TransposeKernel = was
+		if t.Failed() {
+			t.Logf("transpose kernel on: %v", on)
+		}
+	}(cpufeat.TransposeKernel)
+	cpufeat.TransposeKernel = on
+	f()
+}
 
 // dutySchedule builds an (alphaT, alphaR) duty-cycled schedule via the
 // Figure 2 construction from the polynomial cover-free family.
@@ -171,6 +196,8 @@ func roundRobinSchedule(t *testing.T, n, l int) *core.Schedule {
 // collisions and uneven gaps. TDMA at n = 130 gives each link one delivery
 // per frame, so its wrap gap spans every window. A Construct output of
 // 147 slots runs on 100-node graphs, fewer nodes than its universe.
+// Every case runs with bitset's transpose kernel off and, where the CPU
+// has it, on.
 func TestSaturationDifferentialWindowEdges(t *testing.T) {
 	type schedCase struct {
 		s *core.Schedule
@@ -196,7 +223,9 @@ func TestSaturationDifferentialWindowEdges(t *testing.T) {
 		for gname, g := range diffTopologies(t, c.n) {
 			for _, frames := range []int{1, 3} {
 				t.Run(fmt.Sprintf("%s/%s/frames=%d", sname, gname, frames), func(t *testing.T) {
-					assertSaturationIdentical(t, g, c.s, frames, DefaultEnergy())
+					for _, on := range transposePaths() {
+						withTransposeKernel(t, on, func() { assertSaturationIdentical(t, g, c.s, frames, DefaultEnergy()) })
+					}
 				})
 			}
 		}
@@ -446,7 +475,8 @@ func fuzzGraph(n, extra int, seed uint64) *topology.Graph {
 }
 
 // FuzzSimEquivalence feeds random small (topology, schedule, traffic)
-// triples to both simulator paths and requires byte-identical results.
+// triples to both simulator paths and requires byte-identical results,
+// with bitset's transpose kernel off and, where the CPU has it, on.
 func FuzzSimEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{5, 2, 11, 3, 0x1b, 0x6c, 0x9e, 0x27})
@@ -456,6 +486,7 @@ func FuzzSimEquivalence(f *testing.F) {
 	f.Add([]byte{8, 4, 31, 65, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb})  // parallel-kernel seed: Shards = 2
 	f.Add([]byte{9, 0x83, 6, 6, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // low-rate seed: data[1] >= 0x80
 	f.Add([]byte{0x89, 4, 7, 5, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // two-window seed: data[0] >= 0x80
+	paths := transposePaths()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -474,7 +505,9 @@ func FuzzSimEquivalence(f *testing.F) {
 		}
 		g := fuzzGraph(n, extra, seed)
 		frames := 1 + int(data[2])%3
-		assertSaturationIdentical(t, g, s, frames, DefaultEnergy())
+		for _, on := range paths {
+			withTransposeKernel(t, on, func() { assertSaturationIdentical(t, g, s, frames, DefaultEnergy()) })
+		}
 		rate := 0.2 + float64(data[0]%4)*0.4
 		if data[1] >= 0x80 {
 			// A campaign-like rate, at which the arrival scan skips whole
@@ -490,7 +523,9 @@ func FuzzSimEquivalence(f *testing.F) {
 			Seed:         seed,
 			Shards:       int(data[0]) % 3, // the asserts re-sweep shard counts anyway
 		}
-		assertConvergecastIdentical(t, g, s, cfg)
+		for _, on := range paths {
+			withTransposeKernel(t, on, func() { assertConvergecastIdentical(t, g, s, cfg) })
+		}
 	})
 }
 

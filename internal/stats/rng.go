@@ -5,7 +5,11 @@
 // so that experiment tables are reproducible bit-for-bit from a seed.
 package stats
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpufeat"
+)
 
 // RNG is a small, fast, deterministic generator (splitmix64 core). It is not
 // cryptographic; it exists so simulations are reproducible across platforms
@@ -32,10 +36,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// blockScan says whether ScanAbove uses the block kernel. It is set once,
-// at init, from the CPU; only tests change it, to run the Go loop alone.
-var blockScan = cpuHasBlockKernel()
-
 // maxScanBlocks caps the blocks one scanBlocks call tests (32768 draws,
 // some microseconds), so a long scan returns to Go between calls and
 // stays preemptible.
@@ -55,7 +55,7 @@ func (r *RNG) Uint64() uint64 {
 //
 // The state advances by golden whatever the draws are, so the next
 // outputs mix64(s+golden), mix64(s+2·golden), ... do not depend on each
-// other. Where the CPU has AVX-512 (cpuHasBlockKernel), ScanAbove first
+// other. Where the CPU has AVX-512 (cpufeat.ScanKernel), ScanAbove first
 // hands whole 8-draw blocks to scanBlocks, which tests eight per
 // iteration, at most maxScanBlocks per call; the Go loop below then
 // finishes the scan, four per step and then one at a time, from the
@@ -69,7 +69,7 @@ func (r *RNG) Uint64() uint64 {
 func (r *RNG) ScanAbove(count int, threshold uint64) (skipped int, draw uint64) {
 	s := r.state
 	i := 0
-	for blockScan && count-i >= 8 {
+	for cpufeat.ScanKernel && count-i >= 8 {
 		want := min((count-i)/8, maxScanBlocks)
 		b := scanBlocks(s, want, threshold)
 		i += 8 * b

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cpufeat"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -330,7 +332,7 @@ func assertScanMatches(t *testing.T, seed uint64, count int, threshold uint64) {
 // scanPaths lists the ScanAbove paths this host runs: the Go loop alone,
 // and, where the CPU has AVX-512, the block kernel in front of it.
 func scanPaths() []bool {
-	if cpuHasBlockKernel() {
+	if cpufeat.ScanKernel {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -339,8 +341,8 @@ func scanPaths() []bool {
 // withBlockScan runs f with the block kernel switched on or off, then
 // restores the switch.
 func withBlockScan(on bool, f func()) {
-	defer func(was bool) { blockScan = was }(blockScan)
-	blockScan = on
+	defer func(was bool) { cpufeat.ScanKernel = was }(cpufeat.ScanKernel)
+	cpufeat.ScanKernel = on
 	f()
 }
 
@@ -426,7 +428,7 @@ func scanBlocksRef(state uint64, blocks int, threshold uint64) int {
 // ScanAbove's chunking across calls is checked at draw counts around
 // 8·maxScanBlocks.
 func TestScanBlocksKernel(t *testing.T) {
-	if !cpuHasBlockKernel() {
+	if !cpufeat.ScanKernel {
 		t.Skip("no AVX-512F and AVX-512DQ here: ScanAbove runs the Go loop alone")
 	}
 	campaign := uint64(math.Ldexp(math.Exp(-0.002), 53))<<11 | 0x7FF
