@@ -11,10 +11,10 @@ check: vet vet-cross build vet-perfbench lint lint-alloc test race race-conc rac
 vet:
 	$(GO) vet ./...
 
-# The tree must also build where internal/stats, internal/bitset and
-# internal/cpufeat have no assembly: vet the whole module, tests
-# included, for arm64 (no cgo, offline), so a per-architecture
-# declaration without its fallback file fails here.
+# The tree must also build where internal/stats, internal/bitset,
+# internal/sim and internal/cpufeat have no assembly: vet the whole
+# module, tests included, for arm64 (no cgo, offline), so a
+# per-architecture declaration without its fallback file fails here.
 vet-cross:
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -116,17 +116,18 @@ fuzz:
 # BENCH_core.json (naive-vs-prefix-cached kernel pairs for the
 # Requirement/throughput verifiers). BENCH_sim.json (the simulator
 # kernels and the bitset transposes under them) is merged, not replaced,
-# so the TTDC_SCALE entries that `make bench-scale` adds stay in it; its
-# line runs every benchmark five times, and ttdcbench records the median
-# with the fastest and slowest run.
+# so the TTDC_SCALE entries that `make bench-scale` adds stay in it. All
+# three lines run every benchmark five times, and ttdcbench records the
+# median with the fastest and slowest run: one run of a core benchmark
+# has read 2.5 times another within an hour on the bench host.
 # Time-based -benchtime: fixed tiny iteration counts (3x) made the
 # Workers1/WorkersMax ratio a noise measurement — one GC pause in a
 # 3-iteration run moved the pair by ±20%. Non-gating: runs alongside
 # `make check`, not inside it.
 bench: lint-bench bench-serve
-	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/engine ./internal/schedcache ./internal/serve \
+	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/engine ./internal/schedcache ./internal/serve \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_engine.json
-	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/core \
+	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/core \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_core.json
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/sim ./internal/bitset \
 		| $(GO) run ./cmd/ttdcbench -merge -o BENCH_sim.json
@@ -153,9 +154,9 @@ bench-serve:
 # type-check), call-graph + summary fixpoint, per-analyzer wall time, and
 # the full LintAll path, captured as BENCH_lint.json so analyzer
 # regressions show up in the perf trajectory alongside the engine and
-# kernel numbers.
+# kernel numbers. Five runs each, like `bench`.
 lint-bench:
-	$(GO) test -run xxx -bench . -benchmem -benchtime 1s ./internal/lint \
+	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/lint \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_lint.json
 
 # One pass over every package's benchmarks, for spot checks.

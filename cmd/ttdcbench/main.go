@@ -1,16 +1,17 @@
 // Command ttdcbench turns `go test -bench -benchmem` output into the
 // machine-readable benchmark files that track the repository's perf
-// trajectory (BENCH_engine.json, BENCH_core.json). It parses the standard
-// benchmark lines from stdin, and derives speedup pairs from two naming
-// conventions:
+// trajectory (BENCH_engine.json, BENCH_core.json, BENCH_sim.json and
+// BENCH_lint.json). It parses the standard benchmark lines from stdin,
+// and derives speedup pairs from four naming conventions:
 //
 //   - <Prefix>Workers1 / <Prefix>WorkersMax — the engine's serial-vs-
 //     parallel sweep and campaign wall-clock comparison;
 //   - <Prefix>Naive / <Prefix>Prefix — the old-vs-new kernel comparison
 //     of internal/core's prefix-cached verification rewrite;
 //   - <Prefix>Legacy / <Prefix>Fast — the sim reference loop vs the
-//     struct-of-arrays kernels, and bitset's Go transpose vs its AVX-512
-//     block kernel;
+//     struct-of-arrays kernels, the saturation window's Go loop vs its
+//     AVX-512 passes, and bitset's Go transpose vs its AVX-512 block
+//     kernel;
 //   - <Prefix>Shards1 / <Prefix>ShardsMax — the sequential kernel vs the
 //     sharded slot kernel at one shard per CPU.
 //
@@ -31,7 +32,7 @@
 //
 // Usage (see the Makefile bench and bench-scale targets):
 //
-//	go test -run xxx -bench . -benchmem ./internal/engine | ttdcbench -o BENCH_engine.json
+//	go test -run xxx -bench . -benchmem -count 5 ./internal/engine | ttdcbench -o BENCH_engine.json
 //	go test -run xxx -bench . -benchmem -count 5 ./internal/sim ./internal/bitset | ttdcbench -merge -o BENCH_sim.json
 //	TTDC_SCALE=1 go test -run xxx -bench Scale -benchtime 1x ./internal/sim | ttdcbench -merge -o BENCH_sim.json
 package main

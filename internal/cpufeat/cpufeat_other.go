@@ -2,5 +2,5 @@
 
 package cpufeat
 
-// probe reports neither set off amd64, where the module has no assembly.
-func probe() (scan, transpose bool) { return false, false }
+// probe reports no set off amd64, where the module has no assembly.
+func probe() (scan, transpose, resolve bool) { return false, false, false }

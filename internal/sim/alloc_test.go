@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpufeat"
 	"repro/internal/topology"
 )
 
@@ -42,7 +43,22 @@ var (
 //  3. the saturation count is flat in the frame count. (Convergecast is
 //     exempt from 3 only because its Latency summary grows with the
 //     packets actually delivered, which is result size, not scratch.)
+//
+// It runs once per resolve path: the Go loop and, where the CPU has it,
+// the resolve kernel, whose rows come from the same pooled scratch.
 func TestKernelAllocsWarm(t *testing.T) {
+	for _, on := range resolvePaths() {
+		name := "goloop"
+		if on {
+			name = "kernel"
+		}
+		t.Run(name, func(t *testing.T) {
+			withKernels(t, kernelPath{cpufeat.TransposeKernel, on}, func() { checkKernelAllocsWarm(t) })
+		})
+	}
+}
+
+func checkKernelAllocsWarm(t *testing.T) {
 	const n = 130
 	s := polySchedule(t, n, 2)
 	g := topology.Regularish(n, 4)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cff"
 	"repro/internal/core"
+	"repro/internal/cpufeat"
 	"repro/internal/topology"
 )
 
@@ -152,6 +153,46 @@ func BenchmarkSaturationJob(b *testing.B) {
 
 // benchSat keeps the measured runs from being optimized away.
 var benchSat *SaturationResult
+
+// BenchmarkResolveWindowLegacy and BenchmarkResolveWindowFast time one
+// window of a campaign saturation job, resolveWindow on the Construct
+// output of N(8450, 3), (250, 2000), over all receivers of its CSR
+// regular topology: the Go loop against the AVX-512 passes. The frame's
+// windows are transposed once, outside the timer; iteration i resolves
+// window i mod ⌈L/64⌉ as frame slots 64i…64i+63 of an ever longer frame,
+// so every iteration extends the same link records as a run's next window
+// would.
+func BenchmarkResolveWindowLegacy(b *testing.B) { benchResolveWindow(b, false) }
+
+func BenchmarkResolveWindowFast(b *testing.B) {
+	if !cpufeat.ResolveKernel {
+		b.Skip("the resolve kernel needs AVX-512F, DQ, CD, VL and VPOPCNTDQ")
+	}
+	benchResolveWindow(b, true)
+}
+
+func benchResolveWindow(b *testing.B, kernel bool) {
+	const n, d = 8450, 3
+	s, err := core.Construct(benchPolySchedule(b, n, d), core.ConstructOptions{AlphaT: 250, AlphaR: 2000, D: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := topology.Regularish(n, d)
+	var tws, rws [][]uint64
+	for base := 0; base < s.L(); base += wordBits {
+		tw, rw := make([]uint64, n), make([]uint64, n)
+		transposeSlotWindow(s, base, tw, rw)
+		tws, rws = append(tws, tw), append(rws, rw)
+	}
+	sc := new(satFastScratch)
+	a := sc.reset(g, 1, kernel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.tw, sc.rw = tws[i%len(tws)], rws[i%len(rws)]
+		resolveWindow(a, sc, 0, 0, n, i*wordBits, kernel)
+	}
+}
 
 // BenchmarkSaturationReusedKernel is a kernel shared across runs, as the
 // engine shares one per (schedule, n): the kernel is built once, on the

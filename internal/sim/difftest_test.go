@@ -20,27 +20,48 @@ import (
 // (finishSaturation, finishConvergecast) and consume the arrival RNG in
 // the same order; a tolerance here would hide a broken pinning contract.
 
-// transposePaths lists the bitset transpose paths this host runs: the Go
-// loop alone, and, where the CPU has AVX-512F, AVX-512VBMI and GFNI, the
-// kernel. Both simulator kernels read their slot windows through it.
-func transposePaths() []bool {
+// kernelPath is one setting of the two assembly kernels under the
+// simulator: bitset's transpose kernel, through which both simulator
+// kernels read their slot windows, and the saturation resolve kernel.
+type kernelPath struct{ transpose, resolve bool }
+
+// kernelPaths lists the kernel settings this host runs: both off, then
+// each kernel the CPU has on its own, then both on. The transpose kernel
+// needs AVX-512F, AVX-512VBMI and GFNI, the resolve kernel AVX-512F, DQ,
+// CD, VL and VPOPCNTDQ.
+func kernelPaths() []kernelPath {
+	paths := []kernelPath{{}}
 	if cpufeat.TransposeKernel {
+		paths = append(paths, kernelPath{transpose: true})
+	}
+	if cpufeat.ResolveKernel {
+		paths = append(paths, kernelPath{resolve: true})
+	}
+	if cpufeat.TransposeKernel && cpufeat.ResolveKernel {
+		paths = append(paths, kernelPath{true, true})
+	}
+	return paths
+}
+
+// resolvePaths lists the resolve paths this host runs: the Go loop, and
+// the kernel where the CPU has it.
+func resolvePaths() []bool {
+	if cpufeat.ResolveKernel {
 		return []bool{false, true}
 	}
 	return []bool{false}
 }
 
-// withTransposeKernel runs f with bitset's transpose kernel switched on
-// or off, then restores the switch; a failure in f is logged with the
-// path it ran on.
-func withTransposeKernel(t *testing.T, on bool, f func()) {
-	defer func(was bool) {
-		cpufeat.TransposeKernel = was
+// withKernels runs f with the kernels switched as p says, then restores
+// both switches; a failure in f is logged with the path it ran on.
+func withKernels(t *testing.T, p kernelPath, f func()) {
+	defer func(transpose, resolve bool) {
+		cpufeat.TransposeKernel, cpufeat.ResolveKernel = transpose, resolve
 		if t.Failed() {
-			t.Logf("transpose kernel on: %v", on)
+			t.Logf("transpose kernel on: %v, resolve kernel on: %v", p.transpose, p.resolve)
 		}
-	}(cpufeat.TransposeKernel)
-	cpufeat.TransposeKernel = on
+	}(cpufeat.TransposeKernel, cpufeat.ResolveKernel)
+	cpufeat.TransposeKernel, cpufeat.ResolveKernel = p.transpose, p.resolve
 	f()
 }
 
@@ -196,8 +217,8 @@ func roundRobinSchedule(t *testing.T, n, l int) *core.Schedule {
 // collisions and uneven gaps. TDMA at n = 130 gives each link one delivery
 // per frame, so its wrap gap spans every window. A Construct output of
 // 147 slots runs on 100-node graphs, fewer nodes than its universe.
-// Every case runs with bitset's transpose kernel off and, where the CPU
-// has it, on.
+// Every case runs with bitset's transpose kernel and the resolve kernel
+// off and, where the CPU has them, on (kernelPaths).
 func TestSaturationDifferentialWindowEdges(t *testing.T) {
 	type schedCase struct {
 		s *core.Schedule
@@ -223,8 +244,8 @@ func TestSaturationDifferentialWindowEdges(t *testing.T) {
 		for gname, g := range diffTopologies(t, c.n) {
 			for _, frames := range []int{1, 3} {
 				t.Run(fmt.Sprintf("%s/%s/frames=%d", sname, gname, frames), func(t *testing.T) {
-					for _, on := range transposePaths() {
-						withTransposeKernel(t, on, func() { assertSaturationIdentical(t, g, c.s, frames, DefaultEnergy()) })
+					for _, p := range kernelPaths() {
+						withKernels(t, p, func() { assertSaturationIdentical(t, g, c.s, frames, DefaultEnergy()) })
 					}
 				})
 			}
@@ -379,7 +400,9 @@ func TestShardedKernelsWordRanges(t *testing.T) {
 // receiver words. Every shard resolves every window after the calling
 // goroutine transposes it, so `make race-sim-par` runs this under the race
 // detector to show the per-window barrier orders the transposes before the
-// shards' reads and the shards' writes before the next window.
+// shards' reads and the shards' writes before the next window. Saturation
+// runs once per resolve path, and the paths must agree: the kernel's
+// shards call its leaves on their own 64-aligned receiver ranges.
 func TestShardedKernelsAcrossWindows(t *testing.T) {
 	const n = 130
 	schedules := map[string]*core.Schedule{
@@ -395,9 +418,28 @@ func TestShardedKernelsAcrossWindows(t *testing.T) {
 		for gname, g := range graphs {
 			for repr, gg := range map[string]*topology.Graph{"dense": g, "csr": g.Compress()} {
 				t.Run(sname+"/"+gname+"/"+repr, func(t *testing.T) {
-					satSeq, err := RunSaturationSharded(gg, s, 3, DefaultEnergy(), 1)
-					if err != nil {
-						t.Fatal(err)
+					var first *SaturationResult
+					for _, on := range resolvePaths() {
+						withKernels(t, kernelPath{cpufeat.TransposeKernel, on}, func() {
+							satSeq, err := RunSaturationSharded(gg, s, 3, DefaultEnergy(), 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if first == nil {
+								first = satSeq
+							} else if !reflect.DeepEqual(satSeq, first) {
+								t.Fatal("saturation diverged between the resolve paths")
+							}
+							for _, shards := range []int{2, 3, -1} {
+								satPar, err := RunSaturationSharded(gg, s, 3, DefaultEnergy(), shards)
+								if err != nil {
+									t.Fatalf("shards=%d: %v", shards, err)
+								}
+								if !reflect.DeepEqual(satPar, satSeq) {
+									t.Fatalf("saturation shards=%d diverged from shards=1", shards)
+								}
+							}
+						})
 					}
 					cfg := ccCfg
 					cfg.Shards = 1
@@ -406,13 +448,6 @@ func TestShardedKernelsAcrossWindows(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, shards := range []int{2, 3, -1} {
-						satPar, err := RunSaturationSharded(gg, s, 3, DefaultEnergy(), shards)
-						if err != nil {
-							t.Fatalf("shards=%d: %v", shards, err)
-						}
-						if !reflect.DeepEqual(satPar, satSeq) {
-							t.Fatalf("saturation shards=%d diverged from shards=1", shards)
-						}
 						cfg.Shards = shards
 						ccPar, err := RunConvergecast(gg, s, cfg)
 						if err != nil {
@@ -476,7 +511,9 @@ func fuzzGraph(n, extra int, seed uint64) *topology.Graph {
 
 // FuzzSimEquivalence feeds random small (topology, schedule, traffic)
 // triples to both simulator paths and requires byte-identical results,
-// with bitset's transpose kernel off and, where the CPU has it, on.
+// with bitset's transpose kernel and the resolve kernel off and, where
+// the CPU has them, on (kernelPaths; the resolve kernel is saturation's
+// alone, so convergecast runs the transpose paths).
 func FuzzSimEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{5, 2, 11, 3, 0x1b, 0x6c, 0x9e, 0x27})
@@ -486,7 +523,7 @@ func FuzzSimEquivalence(f *testing.F) {
 	f.Add([]byte{8, 4, 31, 65, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb})  // parallel-kernel seed: Shards = 2
 	f.Add([]byte{9, 0x83, 6, 6, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // low-rate seed: data[1] >= 0x80
 	f.Add([]byte{0x89, 4, 7, 5, 0x6d, 0xb6, 0x49, 0x92, 0x24, 0xdb}) // two-window seed: data[0] >= 0x80
-	paths := transposePaths()
+	paths := kernelPaths()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -505,8 +542,8 @@ func FuzzSimEquivalence(f *testing.F) {
 		}
 		g := fuzzGraph(n, extra, seed)
 		frames := 1 + int(data[2])%3
-		for _, on := range paths {
-			withTransposeKernel(t, on, func() { assertSaturationIdentical(t, g, s, frames, DefaultEnergy()) })
+		for _, p := range paths {
+			withKernels(t, p, func() { assertSaturationIdentical(t, g, s, frames, DefaultEnergy()) })
 		}
 		rate := 0.2 + float64(data[0]%4)*0.4
 		if data[1] >= 0x80 {
@@ -523,8 +560,10 @@ func FuzzSimEquivalence(f *testing.F) {
 			Seed:         seed,
 			Shards:       int(data[0]) % 3, // the asserts re-sweep shard counts anyway
 		}
-		for _, on := range paths {
-			withTransposeKernel(t, on, func() { assertConvergecastIdentical(t, g, s, cfg) })
+		for _, p := range paths {
+			if !p.resolve {
+				withKernels(t, p, func() { assertConvergecastIdentical(t, g, s, cfg) })
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/cpufeat"
 	"repro/internal/topology"
 )
 
@@ -146,23 +147,30 @@ func transposeSlotWindow(s *core.Schedule, lo int, tw, rw []uint64) {
 // N returns the node-universe size the kernel was built for.
 func (k *SaturationKernel) N() int { return k.n }
 
-// linkRec is one directed link's delivery record over a frame: how many
-// of the frame's slots deliver on it, and the first and last of them, as
-// frame slots. A frame has one slot set pointer per slot, so its length
-// is far below 2³¹ and 32 bits hold every field.
-type linkRec struct{ cnt, first, last int32 }
-
 // satFastScratch is the per-run working state of the fast path, pooled so a
 // campaign of many runs reuses one buffer set per worker.
 type satFastScratch struct {
-	tw, rw     []uint64  // the current 64-slot window of T and R, one word per node
-	offset     []int     // offset[u]: id of u's first link; offset[n] is the link count
-	cursor     []int     // per-u link-id cursor of the v-major → u-major pass
-	nbr        []int32   // dense graphs: every neighbour row, row v at offset[v]
-	rec        []linkRec // per directed link, v-major
-	linkCounts []int     // whole-run deliveries per directed link, u-major
-	colls      []int     // per shard: collision slots per frame
-	gaps       []int     // per shard: largest in-frame inter-delivery gap
+	tw, rw []uint64 // the current 64-slot window of T and R, one word per node
+	off    []int64  // dense graphs: off[u], the id of u's first link; off[n] is the link count
+	nbr    []int32  // dense graphs: every neighbour row, row v at off[v]
+	cursor []int    // per-u link-id cursor of the v-major → u-major pass
+	// cnt, first and last are each directed link's delivery record over a
+	// frame, v-major: how many of the frame's slots deliver on it, and the
+	// first and last of them, as frame slots. A frame has one slot set
+	// pointer per slot, so its length is far below 2³¹ and 32 bits hold
+	// every field. first and last are read only where cnt is not zero.
+	cnt, first, last []int32
+	linkCounts       []int // whole-run deliveries per directed link, u-major
+	colls            []int // per shard: collision slots per frame
+	gaps             []int // per shard: largest in-frame inter-delivery gap
+	// The AVX-512 path's rows (resolve.go), sized only when it runs.
+	x1    []uint64 // per receiver: the window's slots with exactly one transmitting neighbour, where it listens
+	dst   []int32  // per v-major link: its receiver
+	multi []uint8  // per eight v-major links: those that delivered twice or more in the window
+	// words and recs back tw, rw and x1, and cnt, first, last and dst, so
+	// a run that finds the pool empty makes two allocations, not seven.
+	words []uint64
+	recs  []int32
 }
 
 var satFastPool = sync.Pool{New: func() any { return new(satFastScratch) }}
@@ -176,54 +184,66 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// adjacency is a graph's neighbour rows in compressed form: row v is
+// nbr[off[v]:off[v+1]], ascending. The graph is undirected, so v sends on
+// as many links as it receives on, and off[v] is the id of v's first link
+// in u-major and in v-major order alike.
+type adjacency struct {
+	off []int64
+	nbr []int32
+}
+
 // reset sizes the scratch for a run on g split into the given number of
-// shards: the link offsets (u-major ids; in an undirected graph the same
-// prefix sums give each receiver's v-major span), a dense graph's flat
-// neighbour rows, and zeroed link records, cursors and shard counters.
-// It returns the number of directed links.
-func (sc *satFastScratch) reset(g *topology.Graph, shards int) int {
+// shards, with the AVX-512 path's rows if kernel is set, and returns g's
+// rows: a compressed graph's own, read in place, or a dense graph's
+// copied into the scratch. Delivery counts, cursors and shard counters
+// start at zero.
+func (sc *satFastScratch) reset(g *topology.Graph, shards int, kernel bool) adjacency {
 	n := g.N()
-	sc.tw = grow(sc.tw, n)
-	sc.rw = grow(sc.rw, n)
-	sc.offset = grow(sc.offset, n+1)
+	words, recs := 2, 3 // tw and rw; cnt, first and last
+	if kernel {
+		words, recs = 3, 4 // and x1; and dst
+	}
+	sc.words = grow(sc.words, words*n)
+	sc.tw, sc.rw, sc.x1 = sc.words[:n:n], sc.words[n:2*n:2*n], sc.words[2*n:]
 	sc.cursor = grow(sc.cursor, n)
 	clear(sc.cursor)
-	nLinks := 0
-	if g.IsCompressed() {
-		for u := 0; u < n; u++ {
-			sc.offset[u] = nLinks
-			nLinks += g.Degree(u)
-		}
-	} else {
+	var a adjacency
+	if a.off, a.nbr = g.CSR(); a.off == nil {
+		sc.off = grow(sc.off, n+1)
 		sc.nbr = sc.nbr[:0]
 		for u := 0; u < n; u++ {
-			sc.offset[u] = len(sc.nbr)
+			sc.off[u] = int64(len(sc.nbr))
 			for wi, w := range g.NeighborWords(u) {
 				for ; w != 0; w &= w - 1 {
 					sc.nbr = append(sc.nbr, int32(wi*wordBits+bits.TrailingZeros64(w)))
 				}
 			}
 		}
-		nLinks = len(sc.nbr)
+		sc.off[n] = int64(len(sc.nbr))
+		a = adjacency{sc.off, sc.nbr}
 	}
-	sc.offset[n] = nLinks
-	sc.rec = grow(sc.rec, nLinks)
-	clear(sc.rec)
-	sc.linkCounts = grow(sc.linkCounts, nLinks)
+	m := int(a.off[n])
+	sc.recs = grow(sc.recs, recs*m)
+	sc.cnt, sc.first, sc.last, sc.dst = sc.recs[:m:m], sc.recs[m:2*m:2*m], sc.recs[2*m:3*m:3*m], sc.recs[3*m:]
+	clear(sc.cnt)
+	sc.linkCounts = grow(sc.linkCounts, m)
 	sc.colls = grow(sc.colls, shards)
 	sc.gaps = grow(sc.gaps, shards)
 	clear(sc.colls)
 	clear(sc.gaps)
-	return nLinks
-}
-
-// neighbors returns v's sorted neighbour row: the CSR row itself on a
-// compressed graph, the scratch copy on a dense one.
-func (sc *satFastScratch) neighbors(g *topology.Graph, v int) []int32 {
-	if g.IsCompressed() {
-		return g.NeighborRow(v)
+	if kernel {
+		for v := 0; v < n; v++ {
+			for e := a.off[v]; e < a.off[v+1]; e++ {
+				sc.dst[e] = int32(v)
+			}
+		}
+		// A shard's flags start at byte elo/8 + si of its links [elo, ehi)
+		// and take ⌈(ehi−elo)/8⌉ bytes, which ends at or before the next
+		// shard's first byte, ehi/8 + si + 1.
+		sc.multi = grow(sc.multi, m/8+shards)
 	}
-	return sc.nbr[sc.offset[v]:sc.offset[v+1]]
+	return a
 }
 
 // Run executes a saturation run on g using the word-parallel fast path. The
@@ -245,13 +265,19 @@ func (k *SaturationKernel) Run(g *topology.Graph, frames int, em EnergyModel) (*
 // (once &^ many) and with two or more (many), and each incoming link u→v
 // delivers in x1 ∩ tw[u] (if u is the unique transmitting neighbour of a
 // slot and u transmits, u is the sender). The deliveries update the link's
-// v-major record in sc.rec[offset[lo]:offset[hi]], disjoint across shards.
-// Records hold frame slots, so a gap that spans a window edge is measured
-// like any other. The window's collision slots and its largest
-// inter-delivery gap within the frame go to shard si's counters.
+// v-major record in sc.cnt, sc.first and sc.last over [off[lo], off[hi]),
+// disjoint across shards. Records hold frame slots, so a gap that spans a
+// window edge is measured like any other. The window's collision slots and
+// its largest inter-delivery gap within the frame go to shard si's
+// counters. With kernel set the AVX-512 passes of resolveKernel do the
+// work; the loop below is the path without them and their oracle.
 //
 //ttdc:hotpath per-window saturation resolution of every run; all rows come pooled and presized from the caller
-func resolveWindow(g *topology.Graph, sc *satFastScratch, si, lo, hi, base int) {
+func resolveWindow(a adjacency, sc *satFastScratch, si, lo, hi, base int, kernel bool) {
+	if kernel {
+		sc.resolveKernel(a, si, lo, hi, base)
+		return
+	}
 	tw, rw := sc.tw, sc.rw
 	coll, maxGap := 0, 0
 	for v := lo; v < hi; v++ {
@@ -259,7 +285,8 @@ func resolveWindow(g *topology.Graph, sc *satFastScratch, si, lo, hi, base int) 
 		if rx == 0 {
 			continue
 		}
-		nb := sc.neighbors(g, v)
+		e0, e1 := a.off[v], a.off[v+1]
+		nb := a.nbr[e0:e1]
 		var once, many uint64
 		for _, u := range nb {
 			t := tw[u]
@@ -271,20 +298,19 @@ func resolveWindow(g *topology.Graph, sc *satFastScratch, si, lo, hi, base int) 
 		if x1 == 0 {
 			continue
 		}
-		links := sc.rec[sc.offset[v]:sc.offset[v+1]]
+		cnt, first, last := sc.cnt[e0:e1], sc.first[e0:e1], sc.last[e0:e1]
 		for j, u := range nb {
 			w := x1 & tw[u]
 			if w == 0 {
 				continue
 			}
-			r := &links[j]
 			b := int32(base + bits.TrailingZeros64(w))
-			if r.cnt == 0 {
-				r.first = b
-			} else if gap := int(b - r.last - 1); gap > maxGap {
+			if cnt[j] == 0 {
+				first[j] = b
+			} else if gap := int(b - last[j] - 1); gap > maxGap {
 				maxGap = gap
 			}
-			r.cnt += int32(bits.OnesCount64(w))
+			cnt[j] += int32(bits.OnesCount64(w))
 			for w &= w - 1; w != 0; w &= w - 1 {
 				next := int32(base + bits.TrailingZeros64(w))
 				if gap := int(next - b - 1); gap > maxGap {
@@ -292,7 +318,7 @@ func resolveWindow(g *topology.Graph, sc *satFastScratch, si, lo, hi, base int) 
 				}
 				b = next
 			}
-			r.last = b
+			last[j] = b
 		}
 	}
 	sc.colls[si] += coll
@@ -325,14 +351,16 @@ func (k *SaturationKernel) RunSharded(g *topology.Graph, frames int, em EnergyMo
 		SlotsPerFrame: l,
 	}
 	ranges := shardRanges(n, resolveShards(shards, n))
+	kernel := cpufeat.ResolveKernel
 	sc := satFastPool.Get().(*satFastScratch)
 	defer satFastPool.Put(sc)
-	nLinks := sc.reset(g, len(ranges))
+	a := sc.reset(g, len(ranges), kernel)
+	nLinks := int(a.off[n])
 	var workers *shardWorkers
 	if len(ranges) > 1 {
 		//lint:ignore poolescape the workers read and write sc only inside round, which joins every shard before it returns; stop retires them before the deferred Put releases sc
 		workers = startShardWorkers(len(ranges), func(si, base int) {
-			resolveWindow(g, sc, si, ranges[si][0], ranges[si][1], base)
+			resolveWindow(a, sc, si, ranges[si][0], ranges[si][1], base, kernel)
 		})
 		defer workers.stop()
 	}
@@ -341,7 +369,7 @@ func (k *SaturationKernel) RunSharded(g *topology.Graph, frames int, em EnergyMo
 		if workers != nil {
 			workers.round(base)
 		} else {
-			resolveWindow(g, sc, 0, 0, n, base)
+			resolveWindow(a, sc, 0, 0, n, base, kernel)
 		}
 	}
 	// Deterministic ascending-shard reduction (order-insensitive for
@@ -355,19 +383,16 @@ func (k *SaturationKernel) RunSharded(g *topology.Graph, frames int, em EnergyMo
 	// that delivers (once a second frame exists for the pattern to repeat
 	// into), and whole-run counts in the u-major order finishSaturation
 	// consumes, assigned through a per-u cursor — each u's neighbours
-	// appear in ascending v order across the v-major traversal.
-	id := 0
-	for v := 0; v < n; v++ {
-		for _, u32 := range sc.neighbors(g, v) {
-			u := int(u32)
-			r := sc.rec[id]
-			if r.cnt > 0 && frames > 1 {
-				maxGap = max(maxGap, int(r.first)+l-int(r.last)-1)
-			}
-			sc.linkCounts[sc.offset[u]+sc.cursor[u]] = int(r.cnt) * frames
-			sc.cursor[u]++
-			id++
+	// appear in ascending v order across the v-major traversal, in which
+	// link id's sender is nbr[id].
+	for id, u32 := range a.nbr[:nLinks] {
+		u := int(u32)
+		c := sc.cnt[id]
+		if c > 0 && frames > 1 {
+			maxGap = max(maxGap, int(sc.first[id])+l-int(sc.last[id])-1)
 		}
+		sc.linkCounts[int(a.off[u])+sc.cursor[u]] = int(c) * frames
+		sc.cursor[u]++
 	}
 	res.CollisionSlots = collPerFrame * frames
 	res.MaxInterDeliveryGap = maxGap

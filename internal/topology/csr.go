@@ -169,6 +169,13 @@ func (g *Graph) NeighborRow(x int) []int32 {
 	return g.row(x)
 }
 
+// CSR returns a compressed graph's rows in place: nbr[off[x]:off[x+1]] is
+// x's sorted neighbour row, so off[x] is also the number of directed links
+// out of the nodes before x. It returns nil, nil when the graph is dense.
+// The arrays are the graph's own, shared with its clones: callers must
+// treat them as read-only.
+func (g *Graph) CSR() (off []int64, nbr []int32) { return g.off, g.nbr }
+
 // csrHasEdge reports adjacency by binary search over u's sorted row,
 // probing from the lower-degree endpoint.
 func (g *Graph) csrHasEdge(u, v int) bool {
