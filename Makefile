@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet vet-cross build vet-perfbench lint lint-alloc lint-sarif lint-bench test race race-conc race-sim race-sim-par fuzz bench bench-serve bench-scale benchall serve
+.PHONY: check vet vet-cross build vet-perfbench lint lint-alloc lint-sarif lint-bench test race race-conc race-sim race-sim-par fuzz bench bench-serve bench-scale benchall serve loc
 
 check: vet vet-cross build vet-perfbench lint lint-alloc test race race-conc race-sim race-sim-par
 
@@ -165,3 +165,18 @@ benchall:
 
 serve:
 	$(GO) run ./cmd/ttdcserve -addr :8080
+
+# Lines of code per package directory, then module totals: every line of
+# the non-test .go files and of the .s files, blanks and comments
+# included. _perfbench is a module of its own, testdata holds lint
+# fixtures, and .bench_build is benchmark output, so none counts.
+loc:
+	@find . \( -name .git -o -name _perfbench -o -name testdata -o -name .bench_build \) -prune -o \
+		-type f \( -name '*.s' -o -name '*.go' ! -name '*_test.go' \) -print | LC_ALL=C sort | \
+	awk '{ n = 0; while ((getline line < $$0) > 0) n++; close($$0); \
+		d = $$0; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); \
+		if (!(d in seen)) { seen[d] = 1; dirs[++nd] = d }; \
+		if ($$0 ~ /\.s$$/) { s[d] += n; ts += n } else { g[d] += n; tg += n } } \
+	END { printf "%-28s %7s %5s\n", "package", "go", "asm"; \
+		for (i = 1; i <= nd; i++) printf "%-28s %7d %5d\n", dirs[i], g[dirs[i]], s[dirs[i]]; \
+		printf "%-28s %7d %5d\n", "total", tg, ts }'

@@ -43,11 +43,11 @@ func ColoringTDMA(g *topology.Graph) (*core.Schedule, error) {
 	for v := 0; v < n; v++ {
 		forbidden.Clear()
 		// Colors of all nodes within distance 2.
-		g.NeighborSet(v).ForEach(func(u int) bool {
+		g.ForEachNeighbor(v, func(u int) bool {
 			if colors[u] >= 0 {
 				forbidden.Add(colors[u])
 			}
-			g.NeighborSet(u).ForEach(func(w int) bool {
+			g.ForEachNeighbor(u, func(w int) bool {
 				if w != v && colors[w] >= 0 {
 					forbidden.Add(colors[w])
 				}

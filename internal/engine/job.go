@@ -99,15 +99,6 @@ type graphKey struct {
 	n, d     int
 }
 
-// satKernelKey identifies a saturation kernel: the schedule (by pointer —
-// campaign schedules are deduplicated through the schedule memo, so one
-// pointer per grid point) and the topology's node count, which can differ
-// from the spec's N (grid topologies round up to a full square).
-type satKernelKey struct {
-	s *ttdc.Schedule
-	n int
-}
-
 // ccKernelKey identifies a convergecast kernel: schedule and graph by
 // pointer (both deduplicated through their campaign memos) plus the sink.
 type ccKernelKey struct {
@@ -121,14 +112,14 @@ type ccKernelKey struct {
 // for schedule construction (for every construction, not just the
 // polynomial one the cross-campaign cache serves), for a deterministic
 // topology (one CSR build is seconds and tens of megabytes at the
-// million-node end), and for kernel precomputation; the immutable kernels
-// are then run across the worker pool. ExecuteJob passes the zero value,
-// so every build runs.
+// million-node end), and for a convergecast kernel's precomputation; the
+// immutable kernels are then run across the worker pool. A saturation job
+// builds its own kernel, which reads the schedule's role census once.
+// ExecuteJob passes the zero value, so every build runs.
 type memos struct {
-	scheds     *memo[schedKey, *ttdc.Schedule]
-	graphs     *memo[graphKey, *ttdc.Graph]
-	satKernels *memo[satKernelKey, *ttdc.SaturationKernel]
-	ccKernels  *memo[ccKernelKey, *ttdc.ConvergecastKernel]
+	scheds    *memo[schedKey, *ttdc.Schedule]
+	graphs    *memo[graphKey, *ttdc.Graph]
+	ccKernels *memo[ccKernelKey, *ttdc.ConvergecastKernel]
 }
 
 // Jobs expands the campaign and binds each spec to an executable engine
@@ -145,10 +136,9 @@ func Jobs(c *Campaign, cache *schedcache.Cache[*ttdc.Schedule]) ([]Job, error) {
 	}
 	seed := c.Seed
 	ms := memos{
-		scheds:     newMemo[schedKey, *ttdc.Schedule](),
-		graphs:     newMemo[graphKey, *ttdc.Graph](),
-		satKernels: newMemo[satKernelKey, *ttdc.SaturationKernel](),
-		ccKernels:  newMemo[ccKernelKey, *ttdc.ConvergecastKernel](),
+		scheds:    newMemo[schedKey, *ttdc.Schedule](),
+		graphs:    newMemo[graphKey, *ttdc.Graph](),
+		ccKernels: newMemo[ccKernelKey, *ttdc.ConvergecastKernel](),
 	}
 	jobs := make([]Job, len(specs))
 	for i, spec := range specs {
@@ -200,8 +190,7 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 	m.Edges = g.EdgeCount()
 	switch spec.Workload {
 	case "saturation":
-		k, err := ms.satKernels.get(satKernelKey{s: s, n: g.N()},
-			func() (*ttdc.SaturationKernel, error) { return ttdc.NewSaturationKernel(s, g.N()) })
+		k, err := ttdc.NewSaturationKernel(s, g.N())
 		if err != nil {
 			return nil, err
 		}

@@ -159,10 +159,13 @@ func TestSaturationKernelMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No collection from the warm-up on, so the pooled scratch it leaves
-	// is not dropped before the measured run. (Even a run that finds the
-	// pool empty, on another P, allocates under one view: about 1 MB of
-	// scratch and result at this size.)
+	// is not dropped before the measured run, and one P, so the measured
+	// run finds that scratch in the P-local slot the warm-up put it in.
+	// With several Ps the goroutine can resume on another P between the
+	// runs and measure a cold pool: about 1 MB of scratch and result at
+	// this size, still under one view.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	wk, err := NewSaturationKernel(warm, n)
 	if err != nil {
 		t.Fatal(err)

@@ -304,7 +304,7 @@ func runConvergecastLegacy(g *topology.Graph, proto Protocol, cfg ConvergecastCo
 				continue
 			}
 			senders := senderBuf[:0]
-			g.NeighborSet(v).ForEach(func(u int) bool {
+			g.ForEachNeighbor(v, func(u int) bool {
 				if transmitTo[u] >= 0 {
 					senders = append(senders, u)
 				}

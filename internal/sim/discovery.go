@@ -66,7 +66,7 @@ func RunDiscovery(g *topology.Graph, proto Protocol, maxFrames int, em EnergyMod
 			}
 			sender := -1
 			count := 0
-			g.NeighborSet(v).ForEach(func(u int) bool {
+			g.ForEachNeighbor(v, func(u int) bool {
 				if transmitting[u] {
 					count++
 					sender = u

@@ -74,10 +74,8 @@ func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, 
 // saturation fast path: the schedule, whose slot sets T[i] and R[i] a run
 // reads in place 64 slots at a time, and the per-frame role census of the
 // graph's n nodes. A kernel is a pure function of (schedule, n); it is
-// immutable after construction and safe for concurrent Run calls, so a
-// campaign can build it once per grid point and share it across every
-// replication's topology on the engine worker pool. It never derives the
-// schedule's per-node views.
+// immutable after construction and safe for concurrent Run calls. It never
+// derives the schedule's per-node views.
 type SaturationKernel struct {
 	s *core.Schedule
 	n int

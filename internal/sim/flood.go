@@ -113,7 +113,7 @@ func RunFlood(g *topology.Graph, proto Protocol, cfg FloodConfig) (*FloodResult,
 				continue
 			}
 			senders := senderBuf[:0]
-			g.NeighborSet(v).ForEach(func(u int) bool {
+			g.ForEachNeighbor(v, func(u int) bool {
 				if transmitting[u] {
 					senders = append(senders, u)
 				}

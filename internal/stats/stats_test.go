@@ -203,32 +203,6 @@ func TestQuickSummaryMeanBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	bins := h.Bins()
-	if len(bins) != 5 {
-		t.Fatalf("bins = %v", bins)
-	}
-	want := []int{3, 2, 2, 2, 3}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
-		}
-	}
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("BinBounds(1) = %v,%v", lo, hi)
-	}
-}
-
 func TestGini(t *testing.T) {
 	if got := Gini([]float64{5, 5, 5, 5}); got != 0 {
 		t.Fatalf("equal values Gini = %v", got)
@@ -266,15 +240,6 @@ func TestGini(t *testing.T) {
 		}
 	}()
 	Gini([]float64{-1, 2})
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }
 
 // TestDeriveSeedMatchesStream pins DeriveSeed to its contract: the O(1)

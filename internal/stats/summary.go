@@ -137,45 +137,3 @@ func Gini(values []float64) float64 {
 	// G = (2·Σ i·x_(i) )/(n·Σx) - (n+1)/n
 	return 2*cum/(float64(n)*total) - float64(n+1)/float64(n)
 }
-
-// Histogram counts observations into fixed-width bins over [lo, hi). Values
-// outside the range are clamped into the first/last bin so no observation is
-// silently dropped.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.total++
-}
-
-// Bins returns a copy of the per-bin counts.
-func (h *Histogram) Bins() []int { return append([]int(nil), h.bins...) }
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BinBounds returns the [lo, hi) range of bin i.
-func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}

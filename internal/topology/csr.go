@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/bitset"
@@ -12,9 +11,8 @@ import (
 // materializing one n-bit adjacency bitset per node (O(n²) bits — ≈125 GB
 // at n=10⁶) and build the compressed sparse-row form instead. Dense graphs
 // stay mutable (AddEdge/RemoveEdge/EnforceMaxDegree); compressed graphs are
-// immutable. The limit is a variable only so tests can force the CSR path
-// at small n; production code must treat it as a constant.
-var DenseLimit = 1 << 13
+// immutable.
+const DenseLimit = 1 << 13
 
 // Compressed sparse rows: nbr[off[u]:off[u+1]] lists u's neighbours in
 // strictly increasing order. off has length n+1 with off[0] == 0. The
@@ -57,6 +55,25 @@ func newCSR(n int, row func(u int, buf []int32) []int32) *Graph {
 	return g
 }
 
+// fromRows builds the graph whose neighbour rows row gives (see newCSR):
+// compressed at or above DenseLimit nodes, dense below. The dense form adds
+// each row's edges through AddEdge, which ignores the repeat of an edge
+// from its other endpoint and rejects self-loops and out-of-range ids.
+func fromRows(n int, row func(u int, buf []int32) []int32) *Graph {
+	if n >= DenseLimit {
+		return newCSR(n, row)
+	}
+	g := NewGraph(n)
+	var buf []int32
+	for u := 0; u < n; u++ {
+		buf = row(u, buf[:0])
+		for _, v := range buf {
+			g.AddEdge(u, int(v))
+		}
+	}
+	return g
+}
+
 // Compress returns the graph in CSR form: the receiver itself if already
 // compressed, otherwise an immutable copy with the same edge set. The
 // dense original is untouched.
@@ -91,60 +108,6 @@ func (g *Graph) ForEachNeighbor(x int, fn func(v int) bool) {
 		return
 	}
 	g.adj[x].ForEach(fn)
-}
-
-// ForEachNeighborIn calls fn for each neighbour v of x with lo <= v < hi,
-// in increasing order, stopping early if fn returns false. Sharded kernels
-// use it so a worker that owns the node range [lo, hi) can scatter to only
-// its own rows. On compressed graphs the row prefix below lo is skipped by
-// binary search; on dense graphs only the words covering [lo, hi) are
-// scanned.
-func (g *Graph) ForEachNeighborIn(x, lo, hi int, fn func(v int) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > g.n {
-		hi = g.n
-	}
-	if lo >= hi {
-		return
-	}
-	if g.off != nil {
-		r := g.row(x)
-		i := sort.Search(len(r), func(i int) bool { return int(r[i]) >= lo })
-		for ; i < len(r); i++ {
-			v := int(r[i])
-			if v >= hi {
-				return
-			}
-			if !fn(v) {
-				return
-			}
-		}
-		return
-	}
-	const wordBits = 64
-	words := g.adj[x].Words()
-	loW, hiW := lo/wordBits, (hi+wordBits-1)/wordBits
-	if hiW > len(words) {
-		hiW = len(words)
-	}
-	for wi := loW; wi < hiW; wi++ {
-		w := words[wi]
-		if wi == loW {
-			w &^= (1 << uint(lo%wordBits)) - 1
-		}
-		if wi == hiW-1 && hi%wordBits != 0 && hi/wordBits == wi {
-			w &= (1 << uint(hi%wordBits)) - 1
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
 }
 
 // NeighborWords returns x's adjacency row as packed 64-bit words (bit i of

@@ -8,26 +8,18 @@ import (
 )
 
 // The deterministic generators below (Ring, Line, Star, Grid, Circulant,
-// Regularish) each have a closed-form neighbour row, so above DenseLimit
-// nodes they stream straight into the immutable CSR representation instead
-// of materializing n adjacency bitsets. Below the limit they build the
-// mutable dense form exactly as before.
+// Regularish) are each one closed-form neighbour row, which fromRows
+// streams into the immutable CSR form at or above DenseLimit nodes and
+// into the mutable dense form below.
 
 // Ring returns the cycle graph on n >= 3 nodes (degree 2 everywhere).
 func Ring(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("topology: Ring(%d)", n))
 	}
-	if n >= DenseLimit {
-		return newCSR(n, func(i int, buf []int32) []int32 {
-			return append(buf, int32((i+n-1)%n), int32((i+1)%n))
-		})
-	}
-	g := NewGraph(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
-	}
-	return g
+	return fromRows(n, func(i int, buf []int32) []int32 {
+		return append(buf, int32((i+n-1)%n), int32((i+1)%n))
+	})
 }
 
 // Line returns the path graph on n >= 2 nodes.
@@ -35,22 +27,15 @@ func Line(n int) *Graph {
 	if n < 2 {
 		panic(fmt.Sprintf("topology: Line(%d)", n))
 	}
-	if n >= DenseLimit {
-		return newCSR(n, func(i int, buf []int32) []int32 {
-			if i > 0 {
-				buf = append(buf, int32(i-1))
-			}
-			if i+1 < n {
-				buf = append(buf, int32(i+1))
-			}
-			return buf
-		})
-	}
-	g := NewGraph(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
-	}
-	return g
+	return fromRows(n, func(i int, buf []int32) []int32 {
+		if i > 0 {
+			buf = append(buf, int32(i-1))
+		}
+		if i+1 < n {
+			buf = append(buf, int32(i+1))
+		}
+		return buf
+	})
 }
 
 // Star returns the star graph on n >= 2 nodes with node 0 at the centre.
@@ -58,22 +43,15 @@ func Star(n int) *Graph {
 	if n < 2 {
 		panic(fmt.Sprintf("topology: Star(%d)", n))
 	}
-	if n >= DenseLimit {
-		return newCSR(n, func(i int, buf []int32) []int32 {
-			if i == 0 {
-				for v := 1; v < n; v++ {
-					buf = append(buf, int32(v))
-				}
-				return buf
+	return fromRows(n, func(i int, buf []int32) []int32 {
+		if i == 0 {
+			for v := 1; v < n; v++ {
+				buf = append(buf, int32(v))
 			}
-			return append(buf, 0)
-		})
-	}
-	g := NewGraph(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
-	}
-	return g
+			return buf
+		}
+		return append(buf, 0)
+	})
 }
 
 // Grid returns the rows×cols 4-neighbour grid graph; node (r, c) has index
@@ -82,37 +60,22 @@ func Grid(rows, cols int) *Graph {
 	if rows < 1 || cols < 1 || rows*cols < 2 {
 		panic(fmt.Sprintf("topology: Grid(%d, %d)", rows, cols))
 	}
-	if rows*cols >= DenseLimit {
-		return newCSR(rows*cols, func(id int, buf []int32) []int32 {
-			r, c := id/cols, id%cols
-			if r > 0 {
-				buf = append(buf, int32(id-cols))
-			}
-			if c > 0 {
-				buf = append(buf, int32(id-1))
-			}
-			if c+1 < cols {
-				buf = append(buf, int32(id+1))
-			}
-			if r+1 < rows {
-				buf = append(buf, int32(id+cols))
-			}
-			return buf
-		})
-	}
-	g := NewGraph(rows * cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			id := r*cols + c
-			if c+1 < cols {
-				g.AddEdge(id, id+1)
-			}
-			if r+1 < rows {
-				g.AddEdge(id, id+cols)
-			}
+	return fromRows(rows*cols, func(id int, buf []int32) []int32 {
+		r, c := id/cols, id%cols
+		if r > 0 {
+			buf = append(buf, int32(id-cols))
 		}
-	}
-	return g
+		if c > 0 {
+			buf = append(buf, int32(id-1))
+		}
+		if c+1 < cols {
+			buf = append(buf, int32(id+1))
+		}
+		if r+1 < rows {
+			buf = append(buf, int32(id+cols))
+		}
+		return buf
+	})
 }
 
 // Circulant returns the circulant graph on n nodes with the given positive
@@ -125,23 +88,11 @@ func Circulant(n int, offsets []int) *Graph {
 			panic(fmt.Sprintf("topology: Circulant offset %d invalid for n = %d", o, n))
 		}
 	}
-	if n >= DenseLimit {
-		// A diameter offset (2o == n) yields i+o ≡ i-o; newCSR dedups it,
-		// matching the dense path where AddEdge is idempotent.
-		return newCSR(n, circulantRow(n, offsets))
-	}
-	g := NewGraph(n)
-	for _, o := range offsets {
-		for i := 0; i < n; i++ {
-			g.AddEdge(i, (i+o)%n)
-		}
-	}
-	return g
+	return fromRows(n, circulantRow(n, offsets))
 }
 
-// circulantRow returns the CSR row function for a circulant graph,
-// optionally with the diameter matching i↔i+n/2 that Regularish adds for
-// odd target degrees.
+// circulantRow lists i+o and i-o for each offset. For a diameter offset
+// (2o == n) they are one node, which both of fromRows's forms keep once.
 func circulantRow(n int, offsets []int) func(int, []int32) []int32 {
 	return func(i int, buf []int32) []int32 {
 		for _, o := range offsets {
@@ -167,29 +118,14 @@ func Regularish(n, d int) *Graph {
 	for o := 1; o <= d/2; o++ {
 		offsets = append(offsets, o)
 	}
-	var g *Graph
-	if n >= DenseLimit {
-		base := circulantRow(n, offsets)
-		g = newCSR(n, func(i int, buf []int32) []int32 {
-			buf = base(i, buf)
-			if d%2 == 1 {
-				// Diameter matching partner for odd degrees.
-				if i < n/2 {
-					buf = append(buf, int32(i+n/2))
-				} else {
-					buf = append(buf, int32(i-n/2))
-				}
-			}
-			return buf
-		})
-	} else {
-		g = Circulant(n, offsets)
+	circulant := circulantRow(n, offsets)
+	g := fromRows(n, func(i int, buf []int32) []int32 {
+		buf = circulant(i, buf)
 		if d%2 == 1 {
-			for i := 0; i < n/2; i++ {
-				g.AddEdge(i, i+n/2)
-			}
+			buf = append(buf, int32((i+n/2)%n))
 		}
-	}
+		return buf
+	})
 	for i := 0; i < n; i++ {
 		if g.Degree(i) != d {
 			panic(fmt.Sprintf("topology: Regularish degree %d at node %d, want %d", g.Degree(i), i, d))

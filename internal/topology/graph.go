@@ -18,10 +18,11 @@ import (
 // A graph is in one of two representations:
 //
 //   - dense: one n-bit adjacency bitset per node (O(n²) bits), mutable —
-//     the representation every graph used before the CSR work;
+//     what NewGraph, the seeded generators and the deterministic ones
+//     below DenseLimit nodes build;
 //   - compressed (CSR): flat sorted neighbour/offset arrays (O(n+m)
-//     memory), immutable — what the deterministic generators build above
-//     DenseLimit nodes, and what Compress returns.
+//     memory), immutable — what the deterministic generators build at or
+//     above DenseLimit nodes, and what Compress returns.
 //
 // All queries (Degree, Neighbors, HasEdge, BFSTree, ...) work on both;
 // mutators (AddEdge, RemoveEdge, EnforceMaxDegree) panic on compressed
