@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSimEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzRNGScan -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzTranspose64 -fuzztime 10s ./internal/bitset
+	$(GO) test -run '^$$' -fuzz FuzzTransposeWindow -fuzztime 10s ./internal/bitset
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzVerifierDifferential -fuzztime 10s ./internal/core
@@ -115,8 +116,9 @@ fuzz:
 # serving tier's cold artifact pass over the ring lattice) and
 # BENCH_core.json (naive-vs-prefix-cached kernel pairs for the
 # Requirement/throughput verifiers). BENCH_sim.json (the simulator
-# kernels and the bitset transposes under them) is merged, not replaced,
-# so the TTDC_SCALE entries that `make bench-scale` adds stay in it. All
+# kernels, the bitset transposes under them and the campaign's topology
+# builds) is merged, not replaced, so the TTDC_SCALE entries that
+# `make bench-scale` adds stay in it. All
 # three lines run every benchmark five times, and ttdcbench records the
 # median with the fastest and slowest run: one run of a core benchmark
 # has read 2.5 times another within an hour on the bench host.
@@ -129,7 +131,7 @@ bench: lint-bench bench-serve
 		| $(GO) run ./cmd/ttdcbench -o BENCH_engine.json
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/core \
 		| $(GO) run ./cmd/ttdcbench -o BENCH_core.json
-	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/sim ./internal/bitset \
+	$(GO) test -run xxx -bench . -benchmem -benchtime 1s -count 5 ./internal/sim ./internal/bitset ./internal/topology \
 		| $(GO) run ./cmd/ttdcbench -merge -o BENCH_sim.json
 
 # The TTDC_SCALE campaign: the n=10^5 convergecast grid and the n=10^6

@@ -420,17 +420,33 @@ func Transpose(rows []*Set, cols int) []*Set {
 // contiguously, so a caller that reads a long bit matrix 64 rows at a
 // time holds one word per column instead of the whole transpose.
 //
+// Where the CPU has the AVX-512 transpose, one leaf gathers, transposes
+// and stores every whole 64-word block of dst that all rows hold words
+// for; the partial last block and the words past a short row's end go
+// through transposeBlock, the only path on other CPUs.
+//
 //ttdc:hotpath the simulator kernels transpose their slot sets one 64-slot window at a time
 func TransposeWindow(rows []*Set, dst []uint64) {
 	if len(rows) > wordBits {
 		panic(fmt.Sprintf("bitset: TransposeWindow of %d rows, at most %d", len(rows), wordBits))
 	}
 	var src [wordBits][]uint64
+	blocks := len(dst) / wordBits
 	for k, r := range rows {
 		src[k&63] = r.words
+		blocks = min(blocks, len(r.words))
+	}
+	cw := 0
+	if cpufeat.TransposeKernel && blocks > 0 {
+		var base [wordBits]*uint64
+		for k, w := range src[:len(rows)] {
+			base[k&63] = &w[0]
+		}
+		transposeWindowKernel(&base, len(rows), &dst[0], blocks)
+		cw = blocks
 	}
 	var blk [wordBits]uint64
-	for cw := 0; cw*wordBits < len(dst); cw++ {
+	for ; cw*wordBits < len(dst); cw++ {
 		transposeBlock(&blk, src[:len(rows)], cw)
 		copy(dst[cw*wordBits:], blk[:])
 	}

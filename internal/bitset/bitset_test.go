@@ -527,50 +527,71 @@ func TestTransposeViewsAreSeparate(t *testing.T) {
 	}
 }
 
+// checkTransposeWindow transposes rows into cols words that hold stale
+// bits and holds them to a bit-by-bit reference: bit k of word j is set
+// when rows[k] contains j.
+func checkTransposeWindow(t *testing.T, name string, rows []*Set, cols int) {
+	t.Helper()
+	dst, want := make([]uint64, cols), make([]uint64, cols)
+	for j := range dst {
+		dst[j] = ^uint64(0)
+	}
+	for k, row := range rows {
+		row.ForEach(func(j int) bool {
+			if j < cols {
+				want[j] |= 1 << uint(k)
+			}
+			return true
+		})
+	}
+	TransposeWindow(rows, dst)
+	for j, w := range want {
+		if dst[j] != w {
+			t.Fatalf("%s: column %d = %#x, want %#x", name, j, dst[j], w)
+		}
+	}
+}
+
 // TestTransposeWindowMatchesBitByBit checks TransposeWindow against a
-// bit-by-bit reference for windows of 0, 1, 63 and 64 rows over 0, 1, 63,
-// 64, 65 and 130 columns, with rows that end before, at and beyond the
-// last column and a destination holding stale words. It then reads a
-// 130-row matrix in windows of 64, 64 and 2 rows, the last one short, and
-// requires each window to give the matching word of Transpose.
+// bit-by-bit reference into destinations holding stale words. Windows of
+// 0, 1, 63 and 64 rows over 0, 1, 63, 64, 65 and 130 columns mix rows
+// that end before, at and beyond the last column. Windows of 1, 7, 8, 9,
+// 63 and 64 rows over 64, 128, 130 and 8,500 columns have every row as
+// long as dst, as a schedule's slot sets are, so the kernel path runs
+// every whole block in its leaf, with the row counts on both sides of a
+// gather group's edge. It then reads a 130-row matrix in windows of 64,
+// 64 and 2 rows, the last one short, and requires each window to give
+// the matching word of Transpose.
 func TestTransposeWindowMatchesBitByBit(t *testing.T) {
 	onTransposePaths(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
-		full := func(n int) *Set {
-			s := New(n)
-			for i := 0; i < n; i++ {
-				s.Add(i)
-			}
-			return s
+		fills := map[string]func(n int) *Set{
+			"one": func(n int) *Set {
+				s := New(n)
+				for i := 0; i < n; i++ {
+					s.Add(i)
+				}
+				return s
+			},
+			"random": func(n int) *Set { return randomSet(r, n) },
 		}
 		for _, fill := range []string{"one", "random"} {
 			for _, nrows := range []int{0, 1, 63, 64} {
 				for _, cols := range []int{0, 1, 63, 64, 65, 130} {
 					rows := make([]*Set, nrows)
 					for i := range rows {
-						capacity := []int{40, cols, 200}[i%3]
-						if fill == "one" {
-							rows[i] = full(capacity)
-						} else {
-							rows[i] = randomSet(r, capacity)
-						}
+						rows[i] = fills[fill]([]int{40, cols, 200}[i%3])
 					}
-					dst := make([]uint64, cols)
-					for j := range dst {
-						dst[j] = ^uint64(0)
+					checkTransposeWindow(t, fmt.Sprintf("%s %dx%d", fill, nrows, cols), rows, cols)
+				}
+			}
+			for _, nrows := range []int{1, 7, 8, 9, 63, 64} {
+				for _, cols := range []int{64, 128, 130, 8500} {
+					rows := make([]*Set, nrows)
+					for i := range rows {
+						rows[i] = fills[fill](cols)
 					}
-					TransposeWindow(rows, dst)
-					for j := range dst {
-						want := uint64(0)
-						for k, row := range rows {
-							if row.Contains(j) {
-								want |= 1 << uint(k)
-							}
-						}
-						if dst[j] != want {
-							t.Fatalf("%s %dx%d: column %d = %#x, want %#x", fill, nrows, cols, j, dst[j], want)
-						}
-					}
+					checkTransposeWindow(t, fmt.Sprintf("%s even %dx%d", fill, nrows, cols), rows, cols)
 				}
 			}
 		}
@@ -594,6 +615,42 @@ func TestTransposeWindowMatchesBitByBit(t *testing.T) {
 			}
 		}()
 		TransposeWindow(rows[:65], dst)
+	})
+}
+
+// FuzzTransposeWindow holds TransposeWindow to the bit-by-bit reference on
+// the Go path and, where the CPU has it, the kernel path. The input gives
+// the row count (mod 65), dst's length (mod 1025), and then one byte per
+// row for its capacity, byte·len(dst)/128, so rows run from empty to
+// twice dst's length; a row without its byte is as long as dst. The
+// bytes after those are the rows' bits, one after another, repeated as
+// far as the rows need; without them every row is full.
+func FuzzTransposeWindow(f *testing.F) {
+	f.Add(uint8(64), uint16(130), []byte{})
+	f.Add(uint8(9), uint16(512), []byte{128, 128, 128, 128, 128, 128, 128, 128, 128, 0x5a, 0x0f})
+	f.Add(uint8(63), uint16(200), []byte{0, 40, 255, 128, 100, 0xc3})
+	f.Fuzz(func(t *testing.T, nrows uint8, cols uint16, data []byte) {
+		n, m := int(nrows)%(wordBits+1), int(cols)%1025
+		caps, bitBytes := data[:min(n, len(data))], data[min(n, len(data)):]
+		rows := make([]*Set, n)
+		bit := 0
+		for k := range rows {
+			capacity := m
+			if k < len(caps) {
+				capacity = int(caps[k]) * m / 128
+			}
+			rows[k] = New(capacity)
+			for i := 0; i < capacity; i, bit = i+1, bit+1 {
+				if len(bitBytes) == 0 || bitBytes[bit/8%len(bitBytes)]>>uint(bit%8)&1 != 0 {
+					rows[k].Add(i)
+				}
+			}
+		}
+		name := fmt.Sprintf("%d rows x %d columns", n, m)
+		withTransposeKernel(false, func() { checkTransposeWindow(t, "goloop: "+name, rows, m) })
+		if cpufeat.TransposeKernel {
+			checkTransposeWindow(t, "kernel: "+name, rows, m)
+		}
 	})
 }
 
@@ -704,8 +761,11 @@ func FuzzTranspose64(f *testing.F) {
 }
 
 // The Legacy/Fast pairs below are the Go loop against the AVX-512
-// kernel; cmd/ttdcbench derives their ratios. Transpose64 times one block
-// in place, TransposeWindow one window with its gather and copy-out.
+// kernels; cmd/ttdcbench derives their ratios. Transpose64 times one
+// block in place. TransposeWindow times one window: Legacy gathers each
+// block's row words in Go, transposes it with the Go loop and copies it
+// out; Fast gathers, transposes and stores every whole block in one
+// leaf, and only the partial last block takes the Go gather.
 func BenchmarkTranspose64Legacy(b *testing.B) { benchTranspose64(b, transpose64) }
 
 func BenchmarkTranspose64Fast(b *testing.B) {

@@ -34,13 +34,13 @@ func energyFromCounts(em EnergyModel, tx, rx, sleep int) float64 {
 // transmit-role / receive-role node-slot counts. The fast path and its
 // test-only reference loop both end here, so the derived floats (per-frame
 // rates, throughputs, energy, active fraction) are structurally identical
-// between them.
-func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, linkCounts []int, txSlots, rxSlots int) {
+// between them. res takes counts: Delivered's rows are slices of it, so the
+// caller must not reuse it.
+func finishSaturation(res *SaturationResult, g *topology.Graph, em EnergyModel, counts []int, txSlots, rxSlots int) {
 	n := g.N()
 	frames, L := res.Frames, res.SlotsPerFrame
 	// The u-major order is Delivered's layout: row u is u's Degree(u)
-	// links, in Neighbors(u) order, all rows in one copy of linkCounts.
-	counts := append([]int(nil), linkCounts...)
+	// links, in Neighbors(u) order, all rows in counts.
 	res.Delivered = make([][]int, n)
 	id := 0
 	for u := 0; u < n; u++ {
@@ -158,7 +158,6 @@ type satFastScratch struct {
 	// pointer per slot, so its length is far below 2³¹ and 32 bits hold
 	// every field. first and last are read only where cnt is not zero.
 	cnt, first, last []int32
-	linkCounts       []int // whole-run deliveries per directed link, u-major
 	colls            []int // per shard: collision slots per frame
 	gaps             []int // per shard: largest in-frame inter-delivery gap
 	// The AVX-512 path's rows (resolve.go), sized only when it runs.
@@ -225,7 +224,6 @@ func (sc *satFastScratch) reset(g *topology.Graph, shards int, kernel bool) adja
 	sc.recs = grow(sc.recs, recs*m)
 	sc.cnt, sc.first, sc.last, sc.dst = sc.recs[:m:m], sc.recs[m:2*m:2*m], sc.recs[2*m:3*m:3*m], sc.recs[3*m:]
 	clear(sc.cnt)
-	sc.linkCounts = grow(sc.linkCounts, m)
 	sc.colls = grow(sc.colls, shards)
 	sc.gaps = grow(sc.gaps, shards)
 	clear(sc.colls)
@@ -380,20 +378,24 @@ func (k *SaturationKernel) RunSharded(g *topology.Graph, frames int, em EnergyMo
 	// Sequential v-major → u-major pass: the frame-wrap gap of every link
 	// that delivers (once a second frame exists for the pattern to repeat
 	// into), and whole-run counts in the u-major order finishSaturation
-	// consumes, assigned through a per-u cursor — each u's neighbours
-	// appear in ascending v order across the v-major traversal, in which
-	// link id's sender is nbr[id].
+	// takes into the result, assigned through a per-u cursor — each u's
+	// neighbours appear in ascending v order across the v-major
+	// traversal, in which link id's sender is nbr[id].
+	var counts []int // nil without links, as the reference loop leaves it
+	if nLinks > 0 {
+		counts = make([]int, nLinks)
+	}
 	for id, u32 := range a.nbr[:nLinks] {
 		u := int(u32)
 		c := sc.cnt[id]
 		if c > 0 && frames > 1 {
 			maxGap = max(maxGap, int(sc.first[id])+l-int(sc.last[id])-1)
 		}
-		sc.linkCounts[int(a.off[u])+sc.cursor[u]] = int(c) * frames
+		counts[int(a.off[u])+sc.cursor[u]] = int(c) * frames
 		sc.cursor[u]++
 	}
 	res.CollisionSlots = collPerFrame * frames
 	res.MaxInterDeliveryGap = maxGap
-	finishSaturation(res, g, em, sc.linkCounts[:nLinks], k.txPerFrame*frames, k.rxPerFrame*frames)
+	finishSaturation(res, g, em, counts, k.txPerFrame*frames, k.rxPerFrame*frames)
 	return res, nil
 }

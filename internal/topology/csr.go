@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -35,7 +36,7 @@ func newCSR(n int, row func(u int, buf []int32) []int32) *Graph {
 	var buf []int32
 	for u := 0; u < n; u++ {
 		buf = row(u, buf[:0])
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+		slices.Sort(buf)
 		prev := int32(-1)
 		for _, v := range buf {
 			if v == prev {

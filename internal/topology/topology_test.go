@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -248,5 +249,22 @@ func BenchmarkRandomGeometric200(b *testing.B) {
 	rng := stats.NewRNG(1)
 	for i := 0; i < b.N; i++ {
 		RandomGeometric(200, 0.15, rng)
+	}
+}
+
+// BenchmarkRegularishCampaign builds the two CSR topologies the campaign
+// benchmark's saturation grid runs on, the first job of each (n, D)
+// waiting for its graph: N(9050, 3) and N(8450, 2), both above
+// DenseLimit.
+func BenchmarkRegularishCampaign(b *testing.B) {
+	for _, c := range []struct{ n, d int }{{9050, 3}, {8450, 2}} {
+		b.Run(fmt.Sprintf("n=%d,D=%d", c.n, c.d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if g := Regularish(c.n, c.d); !g.IsCompressed() {
+					b.Fatalf("Regularish(%d, %d) is dense", c.n, c.d)
+				}
+			}
+		})
 	}
 }
