@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	ttdc "repro"
+	"repro/internal/schedcache"
 )
 
 func main() {
@@ -34,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		n        = fs.Int("n", 25, "maximum number of nodes in the class N(n, D)")
 		d        = fs.Int("D", 2, "maximum node degree in the class N(n, D)")
-		base     = fs.String("base", "polynomial", "base construction: tdma | polynomial | steiner | projective | search")
+		base     = fs.String("base", "polynomial", "base construction: "+strings.Join(append(schedcache.BaseNames(), "search"), " | "))
 		frameLen = fs.Int("L", 0, "frame length for -base search (0 = n)")
 		seed     = fs.Uint64("seed", 1, "seed for -base search")
 		alphaT   = fs.Int("alphaT", 0, "max transmitters per slot (0 = keep non-sleeping)")
@@ -86,24 +88,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func buildBase(base string, n, d, frameLen int, seed uint64) (*ttdc.Schedule, error) {
-	switch base {
-	case "tdma":
-		return ttdc.TDMA(n)
-	case "polynomial":
-		return ttdc.PolynomialSchedule(n, d)
-	case "steiner":
-		if d != 2 {
-			return nil, fmt.Errorf("steiner construction supports D = 2 only (got %d)", d)
-		}
-		return ttdc.SteinerSchedule(n)
-	case "projective":
-		return ttdc.ProjectiveSchedule(n, d)
-	case "search":
-		if frameLen == 0 {
-			frameLen = n
-		}
-		return ttdc.SearchSchedule(n, d, frameLen, seed)
-	default:
-		return nil, fmt.Errorf("unknown base construction %q", base)
+	if base != "search" {
+		return schedcache.BuildBase(base, n, d)
 	}
+	if frameLen == 0 {
+		frameLen = n
+	}
+	return ttdc.SearchSchedule(n, d, frameLen, seed)
 }

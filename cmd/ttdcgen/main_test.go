@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"flag"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	ttdc "repro"
+	"repro/internal/schedcache"
 )
 
 func TestRunEmitsDecodableJSON(t *testing.T) {
@@ -69,5 +76,61 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunOutputDigests pins what ttdcgen prints, byte for byte: the
+// SHA-256 over every run's arguments, stdout, stderr and exit status, as
+// main would report them. The runs cross every base at D = 2 and D = 3
+// (Steiner at D = 2 only), text and JSON, non-sleeping and duty-cycled,
+// plus one search. Update the digest only for a change meant to alter
+// the output, and say so where it is recorded.
+func TestRunOutputDigests(t *testing.T) {
+	var runs [][]string
+	for _, base := range []string{"tdma", "polynomial", "steiner", "projective"} {
+		for _, d := range []string{"2", "3"} {
+			if base == "steiner" && d != "2" {
+				continue
+			}
+			for _, format := range []string{"text", "json"} {
+				for _, caps := range [][]string{nil, {"-alphaT", "3", "-alphaR", "5"}} {
+					args := []string{"-n", "25", "-D", d, "-base", base, "-format", format}
+					runs = append(runs, append(args, caps...))
+				}
+			}
+		}
+	}
+	runs = append(runs, []string{"-n", "9", "-D", "2", "-base", "search", "-L", "12", "-format", "text"})
+	h := sha256.New()
+	for _, args := range runs {
+		var out, errb bytes.Buffer
+		status := 0
+		if err := run(args, &out, &errb); err != nil {
+			fmt.Fprintln(&errb, "ttdcgen:", err)
+			status = 1
+		}
+		fmt.Fprintf(h, "%q\n%d\n", args, status)
+		h.Write(out.Bytes())
+		h.Write(errb.Bytes())
+	}
+	const want = "8bb07dfe2273c870264cf06e350c618d1d6c7d0c25558f063129de600b422810"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("output SHA-256 over %d runs = %s, want %s", len(runs), got, want)
+	}
+}
+
+// TestUsageListsTheTable: the -base help lists exactly the bases the
+// table builds, then search.
+func TestUsageListsTheTable(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run([]string{"-h"}, &out, &errb); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	_, text, _ := strings.Cut(errb.String(), "  -base string\n")
+	text, _, _ = strings.Cut(text, "\n")
+	text, _, _ = strings.Cut(strings.TrimSpace(text), " (default")
+	got := strings.Split(strings.TrimPrefix(text, "base construction: "), " | ")
+	if want := append(schedcache.BaseNames(), "search"); !slices.Equal(got, want) {
+		t.Errorf("-base help lists %q, want %q", got, want)
 	}
 }

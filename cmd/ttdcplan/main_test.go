@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,5 +49,40 @@ func TestRunBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out, &errOut); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+}
+
+// TestRunOutputDigests pins what ttdcplan prints, byte for byte: the
+// SHA-256 over every run's arguments, stdout, stderr and exit status, as
+// main would report them. The runs cover a class every base serves, a
+// class past the exact-scan limit, and latency caps under which a
+// non-sleeping Steiner, polynomial or projective base wins, two of them
+// emitted as JSON. Update the digest only for a change meant to alter
+// the output, and say so where it is recorded.
+func TestRunOutputDigests(t *testing.T) {
+	runs := [][]string{
+		{"-n", "25", "-D", "2"},
+		{"-n", "13", "-D", "2", "-max-hop-latency", "2"},
+		{"-n", "121", "-D", "3"},
+		{"-n", "9", "-D", "2", "-balanced", "-emit"},
+		{"-n", "25", "-D", "2", "-max-hop-latency", "0.3", "-emit"},
+		{"-n", "16", "-D", "3", "-max-hop-latency", "0.3", "-emit"},
+		{"-n", "13", "-D", "3", "-max-hop-latency", "0.14"},
+	}
+	h := sha256.New()
+	for _, args := range runs {
+		var out, errb bytes.Buffer
+		status := 0
+		if err := run(args, &out, &errb); err != nil {
+			fmt.Fprintln(&errb, "ttdcplan:", err)
+			status = 1
+		}
+		fmt.Fprintf(h, "%q\n%d\n", args, status)
+		h.Write(out.Bytes())
+		h.Write(errb.Bytes())
+	}
+	const want = "d446bb382bbfd0df669af712bfca5c38447b5577bdba2a083f27f5add2e713bf"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("output SHA-256 over %d runs = %s, want %s", len(runs), got, want)
 	}
 }

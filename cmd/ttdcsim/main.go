@@ -13,8 +13,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	ttdc "repro"
+	"repro/internal/schedcache"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -28,12 +31,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ttdcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		gen    = fs.String("gen", "", "build schedule in-process: tdma | polynomial | steiner (default: read JSON from stdin)")
+		gen    = fs.String("gen", "", "build schedule in-process: "+strings.Join(schedcache.BaseNames(), " | ")+" (default: read JSON from stdin)")
 		n      = fs.Int("n", 25, "number of nodes")
 		d      = fs.Int("D", 2, "degree bound")
 		alphaT = fs.Int("alphaT", 0, "construct (αT, αR)-schedule when both set")
 		alphaR = fs.Int("alphaR", 0, "construct (αT, αR)-schedule when both set")
-		topo   = fs.String("topo", "regular", "topology: regular | ring | grid | geometric | random")
+		topo   = fs.String("topo", "regular", "topology: "+strings.Join(topology.ModelNames(), " | "))
 		radius = fs.Float64("radius", 0.3, "geometric topology radius")
 		mode   = fs.String("mode", "saturation", "workload: saturation | convergecast | flood")
 		frames = fs.Int("frames", 10, "frames to simulate")
@@ -59,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *n < nodes {
 		nodes = *n
 	}
-	g, err := buildTopo(*topo, nodes, *d, *radius, *seed)
+	g, err := topology.Model(*topo, nodes, *d, *radius, *seed)
 	if err != nil {
 		return err
 	}
@@ -124,20 +127,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 }
 
 func loadSchedule(stdin io.Reader, gen string, n, d, alphaT, alphaR int) (*ttdc.Schedule, error) {
-	var s *ttdc.Schedule
-	var err error
-	switch gen {
-	case "":
+	if gen == "" {
 		return ttdc.DecodeSchedule(stdin)
-	case "tdma":
-		s, err = ttdc.TDMA(n)
-	case "polynomial":
-		s, err = ttdc.PolynomialSchedule(n, d)
-	case "steiner":
-		s, err = ttdc.SteinerSchedule(n)
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
 	}
+	s, err := schedcache.BuildBase(gen, n, d)
 	if err != nil {
 		return nil, err
 	}
@@ -145,28 +138,4 @@ func loadSchedule(stdin io.Reader, gen string, n, d, alphaT, alphaR int) (*ttdc.
 		return ttdc.Construct(s, ttdc.ConstructOptions{AlphaT: alphaT, AlphaR: alphaR, D: d})
 	}
 	return s, nil
-}
-
-func buildTopo(kind string, n, d int, radius float64, seed uint64) (*ttdc.Graph, error) {
-	rng := ttdc.NewRNG(seed)
-	switch kind {
-	case "regular":
-		return ttdc.Regularish(n, d), nil
-	case "ring":
-		return ttdc.Ring(n), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return ttdc.Grid(side, side), nil
-	case "geometric":
-		dep := ttdc.RandomGeometric(n, radius, rng)
-		dep.Graph.EnforceMaxDegree(d, rng)
-		return dep.Graph, nil
-	case "random":
-		return ttdc.RandomBoundedDegree(n, d, n/4, rng), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", kind)
-	}
 }

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/schedcache"
+	"repro/internal/topology"
 )
 
 // Decode bounds: a campaign document is untrusted input (it arrives over
@@ -146,11 +148,7 @@ func (c Campaign) withDefaults() Campaign {
 	return c
 }
 
-var (
-	constructions = map[string]bool{"tdma": true, "polynomial": true, "steiner": true, "projective": true}
-	topologies    = map[string]bool{"regular": true, "ring": true, "grid": true, "geometric": true, "random": true}
-	workloads     = map[string]bool{"analysis": true, "saturation": true, "convergecast": true, "flood": true}
-)
+var workloads = map[string]bool{"analysis": true, "saturation": true, "convergecast": true, "flood": true}
 
 // Validate range-checks the campaign without expanding it. Per-point
 // feasibility (D < n, admissible fields, cap feasibility) is deliberately
@@ -158,10 +156,10 @@ var (
 // and the rest of the campaign proceeds.
 func (c *Campaign) Validate() error {
 	cc := c.withDefaults()
-	if !constructions[cc.Construction] {
+	if !slices.Contains(schedcache.BaseNames(), cc.Construction) {
 		return fmt.Errorf("engine: unknown construction %q", cc.Construction)
 	}
-	if !topologies[cc.Topology] {
+	if !slices.Contains(topology.ModelNames(), cc.Topology) {
 		return fmt.Errorf("engine: unknown topology %q", cc.Topology)
 	}
 	if !workloads[cc.Workload] {

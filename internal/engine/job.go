@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	ttdc "repro"
-	"repro/internal/cff"
 	"repro/internal/schedcache"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -91,9 +90,9 @@ type schedKey struct {
 	strategy       string
 }
 
-// graphKey identifies a deterministic topology build. Only the
-// seed-independent models (regular, ring, grid) are memoized; geometric
-// and random graphs differ per replication and stay per-job.
+// graphKey identifies a deterministic topology build. Only the models
+// topology.Seeded reports false for are memoized; seeded graphs differ
+// per replication and stay per-job.
 type graphKey struct {
 	topology string
 	n, d     int
@@ -176,7 +175,7 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 		m.AvgThroughputFloat = ttdc.RatFloat(avg)
 		return m, nil
 	}
-	if !deterministicTopology(spec.Topology) {
+	if topology.Seeded(spec.Topology) {
 		// Seeded graphs differ per replication (see graphKey), and a
 		// kernel keyed by one would only pin a one-shot memo entry.
 		ms.graphs, ms.ccKernels = nil, nil
@@ -246,12 +245,12 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 // shares each build across the campaign's jobs: the base schedule of a
 // (construction, n, D) class is memoized under its own key, so every duty
 // point of the class runs Construct on one base. Polynomial jobs go
-// through the cross-campaign cache instead when one is supplied; every
-// other construction is then held to the cache's limits, checked from
-// closed forms before anything is materialized. Without a cache the key
-// is validated against TrustedLimits, so a grid point outside its class
-// (D >= n, say) fails with the error a cache would give, not a panic in
-// the build. Both layers are singleflight under concurrency.
+// through the cross-campaign cache instead when one is supplied. Every
+// other build is held to one set of limits — the cache's when there is
+// one, TrustedLimits otherwise — so a grid point outside its class (D >=
+// n, say) or past the n×L budget fails with the error a cache would give,
+// checked from closed forms before anything is materialized, not a panic
+// in the build. Both layers are singleflight under concurrency.
 func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
@@ -263,22 +262,22 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds
 		key.alphaT, key.alphaR, key.strategy = spec.AlphaT, spec.AlphaR, schedcache.StrategyName(strategy)
 	}
 	ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-	if cache == nil {
-		if err := schedcache.TrustedLimits.Validate(ck); err != nil {
-			return nil, err
-		}
-	} else {
+	lim := schedcache.TrustedLimits
+	if cache != nil {
 		if spec.Construction == "polynomial" {
 			// Get validates against the cache's own limits — serving bounds
 			// for HTTP-fed caches, TrustedLimits for the local CLIs.
 			return scheds.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
 		}
-		if err := checkBase(spec, ck, cache.Limits()); err != nil {
-			return nil, err
-		}
+		lim = cache.Limits()
+	}
+	if err := lim.Validate(ck); err != nil {
+		return nil, err
 	}
 	base := func() (*ttdc.Schedule, error) {
-		return scheds.get(baseKey, func() (*ttdc.Schedule, error) { return buildBase(spec) })
+		return scheds.get(baseKey, func() (*ttdc.Schedule, error) {
+			return schedcache.BuildBaseLimited(spec.Construction, schedcache.Key{N: spec.N, D: spec.D}, lim)
+		})
 	}
 	if key == baseKey {
 		return base()
@@ -288,10 +287,8 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds
 		if err != nil {
 			return nil, err
 		}
-		if cache != nil {
-			if err := cache.Limits().CheckConstruct(ck, b); err != nil {
-				return nil, err
-			}
+		if err := lim.CheckConstruct(ck, b); err != nil {
+			return nil, err
 		}
 		return ttdc.Construct(b, ttdc.ConstructOptions{
 			AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, D: spec.D, Strategy: strategy,
@@ -299,83 +296,15 @@ func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds
 	})
 }
 
-// checkBase holds a non-polynomial job to lim before its base is built:
-// the key must validate, and the base's closed-form frame length — n for
-// TDMA, the triple system's order for Steiner, p²+p+1 for the projective
-// plane — must keep n×L within the budget.
-func checkBase(spec JobSpec, k schedcache.Key, lim schedcache.Limits) error {
-	if err := lim.Validate(k); err != nil {
-		return err
-	}
-	var l int
-	switch spec.Construction {
-	case "tdma":
-		l = spec.N
-	case "steiner":
-		l = cff.STSOrderFor(spec.N)
-	case "projective":
-		p := cff.ProjectiveOrderFor(spec.N, spec.D)
-		l = p*p + p + 1
-	default:
-		return fmt.Errorf("engine: unknown construction %q", spec.Construction)
-	}
-	return lim.CheckBase(k, l)
-}
-
-// buildBase builds the class's topology-transparent non-sleeping schedule.
-func buildBase(spec JobSpec) (*ttdc.Schedule, error) {
-	switch spec.Construction {
-	case "tdma":
-		return ttdc.TDMA(spec.N)
-	case "polynomial":
-		return ttdc.PolynomialSchedule(spec.N, spec.D)
-	case "steiner":
-		return ttdc.SteinerSchedule(spec.N)
-	case "projective":
-		return ttdc.ProjectiveSchedule(spec.N, spec.D)
-	default:
-		return nil, fmt.Errorf("engine: unknown construction %q", spec.Construction)
-	}
-}
-
-// deterministicTopology reports whether the model is seed-independent —
-// the precondition for sharing its graphs (and downstream kernels) across
-// a campaign's jobs.
-func deterministicTopology(kind string) bool {
-	return kind == "regular" || kind == "ring" || kind == "grid"
-}
-
-// buildTopology realizes the job's graph. The RNG is rooted at the job
-// seed, so randomized topologies differ across replications but are
-// identical across reruns of the same job. The seeded models are rejected
-// above the dense-representation limit, where their per-node bitsets
-// would cost O(n²) bits.
+// buildTopology realizes the job's graph. The RNG of a seeded model is
+// rooted at the job seed, so its graphs differ across replications but
+// are identical across reruns of the same job. The seeded models are
+// rejected above the dense-representation limit, where their per-node
+// bitsets would cost O(n²) bits.
 func buildTopology(spec JobSpec, seed uint64) (*ttdc.Graph, error) {
-	switch spec.Topology {
-	case "regular":
-		return ttdc.Regularish(spec.N, spec.D), nil
-	case "ring":
-		return ttdc.Ring(spec.N), nil
-	case "grid":
-		side := 1
-		for side*side < spec.N {
-			side++
-		}
-		return ttdc.Grid(side, side), nil
-	}
-	if spec.N > topology.DenseLimit {
+	if topology.Seeded(spec.Topology) && spec.N > topology.DenseLimit {
 		return nil, fmt.Errorf("engine: topology %q builds dense per-node bitsets; n = %d exceeds the dense limit %d (use regular, ring, or grid at this scale)",
 			spec.Topology, spec.N, topology.DenseLimit)
 	}
-	rng := stats.NewRNG(seed)
-	switch spec.Topology {
-	case "geometric":
-		dep := ttdc.RandomGeometric(spec.N, spec.Radius, rng)
-		dep.Graph.EnforceMaxDegree(spec.D, rng)
-		return dep.Graph, nil
-	case "random":
-		return ttdc.RandomBoundedDegree(spec.N, spec.D, spec.N/4, rng), nil
-	default:
-		return nil, fmt.Errorf("engine: unknown topology %q", spec.Topology)
-	}
+	return topology.Model(spec.Topology, spec.N, spec.D, spec.Radius, seed)
 }

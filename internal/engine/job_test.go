@@ -69,22 +69,39 @@ func TestJobsJournalMatchesExecuteJob(t *testing.T) {
 	}
 }
 
-// TestOutOfClassJobsFailWithoutCache runs analysis jobs whose D is at
-// least n, for each base construction, through the paths that have no
-// schedule cache — ExecuteJob and Jobs(c, nil) with Run — and through a
-// trusted cache. Every path must fail each job with the cache's validation
-// error, never record a panic from inside the build.
+// TestOutOfClassJobsFailWithoutCache runs analysis jobs outside their
+// base's class through the paths that have no schedule cache —
+// ExecuteJob and Jobs(c, nil) with Run — and through a trusted cache:
+// D at least n for every named base, Steiner at D = 3, where it is not
+// topology-transparent, TDMA at N(46341, 1), whose n² frame cells
+// exceed TrustedLimits' 2^31, and a (1, 1)-schedule for N(4096, 2),
+// whose base fits but whose Construct frame does not. Every path must
+// fail each job with the limits' error and journal it, never build nor
+// record a panic from inside the build.
 func TestOutOfClassJobsFailWithoutCache(t *testing.T) {
-	const want = "schedcache: D = 20 outside [1, 8]"
-	for _, construction := range []string{"tdma", "steiner", "polynomial"} {
-		c := &Campaign{Name: "outside", Construction: construction, N: []int{9}, D: []int{20}, Workload: "analysis", Seed: 3}
+	type outside struct {
+		construction string
+		n, d         int
+		duty         DutyPoint
+		want         string
+	}
+	var cases []outside
+	for _, name := range schedcache.BaseNames() {
+		cases = append(cases, outside{name, 9, 20, DutyPoint{}, "schedcache: D = 20 outside [1, 8]"})
+	}
+	cases = append(cases,
+		outside{"steiner", 12, 3, DutyPoint{}, "schedcache: steiner construction supports D = 2 only (got 3)"},
+		outside{"tdma", 46341, 1, DutyPoint{}, "schedcache: base schedule for N(46341, 1) needs frame length 46341; n×L = 2147488281 exceeds the build budget 2147483648"},
+		outside{"polynomial", 4096, 2, DutyPoint{1, 1}, "schedcache: (1, 1)-schedule for N(4096, 2) needs frame length 117440512; n×L = 481036337152 exceeds the build budget 2147483648"})
+	for _, tc := range cases {
+		c := &Campaign{Name: "outside", Construction: tc.construction, N: []int{tc.n}, D: []int{tc.d}, Duty: []DutyPoint{tc.duty}, Workload: "analysis", Seed: 3}
 		specs, err := c.Expand()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cache := range []*schedcache.Cache[*ttdc.Schedule]{nil, schedcache.NewTrusted(4)} {
-			if _, err := ExecuteJob(context.Background(), specs[0], 1, cache); err == nil || err.Error() != want {
-				t.Errorf("%s: ExecuteJob (cache %v) error = %v, want %q", construction, cache != nil, err, want)
+			if _, err := ExecuteJob(context.Background(), specs[0], 1, cache); err == nil || err.Error() != tc.want {
+				t.Errorf("%s N(%d, %d): ExecuteJob (cache %v) error = %v, want %q", tc.construction, tc.n, tc.d, cache != nil, err, tc.want)
 			}
 		}
 		jobs, err := Jobs(c, nil)
@@ -96,11 +113,8 @@ func TestOutOfClassJobsFailWithoutCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rec := range rep.Records {
-			if rec.Status != StatusFail || rec.Error != want {
-				t.Errorf("%s: record %s = %s %q, want a failure with %q", construction, rec.ID, rec.Status, rec.Error, want)
-			}
-			if strings.HasPrefix(rec.Error, "panic:") {
-				t.Errorf("%s: record %s journaled a panic", construction, rec.ID)
+			if rec.Status != StatusFail || rec.Error != tc.want {
+				t.Errorf("%s N(%d, %d): record %s = %s %q, want a failure with %q", tc.construction, tc.n, tc.d, rec.ID, rec.Status, rec.Error, tc.want)
 			}
 		}
 	}

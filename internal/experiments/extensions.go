@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cff"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -20,41 +19,13 @@ func runE12() (*Result, error) {
 	res := &Result{Pass: true}
 	tab := tablewriter.New("Worst-case hop latency: analytic bound vs saturated simulation",
 		"schedule", "n", "D", "L", "analytic bound (slots)", "<= L-1", "sim max gap", "sim <= bound")
-	type cse struct {
-		name string
-		n, d int
-		mk   func() (*core.Schedule, error)
-	}
-	cases := []cse{
-		{"tdma10", 10, 2, func() (*core.Schedule, error) { return familySchedule(mustIdentity(10)) }},
-		{"poly9", 9, 2, func() (*core.Schedule, error) {
-			f, err := cff.PolynomialFor(9, 2)
-			if err != nil {
-				return nil, err
-			}
-			return familySchedule(f)
-		}},
-		{"poly9-constructed(2,3)", 9, 2, func() (*core.Schedule, error) {
-			f, err := cff.PolynomialFor(9, 2)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := familySchedule(f)
-			if err != nil {
-				return nil, err
-			}
-			return core.Construct(ns, core.ConstructOptions{AlphaT: 2, AlphaR: 3, D: 2})
-		}},
-		{"steiner12-constructed(2,4)", 12, 2, func() (*core.Schedule, error) {
-			ns, err := familySchedule(mustSteiner(12))
-			if err != nil {
-				return nil, err
-			}
-			return core.Construct(ns, core.ConstructOptions{AlphaT: 2, AlphaR: 4, D: 2})
-		}},
-	}
-	for _, c := range cases {
-		s, err := c.mk()
+	for _, c := range []scheduleCase{
+		{"tdma10", "tdma", 10, 2, 0, 0},
+		{"poly9", "polynomial", 9, 2, 0, 0},
+		{"poly9-constructed(2,3)", "polynomial", 9, 2, 2, 3},
+		{"steiner12-constructed(2,4)", "steiner", 12, 2, 2, 4},
+	} {
+		s, err := c.build()
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cff"
 	"repro/internal/core"
+	"repro/internal/schedcache"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tablewriter"
@@ -19,11 +19,7 @@ import (
 func runE14() (*Result, error) {
 	res := &Result{Pass: true}
 	const n, d = 25, 2
-	fam, err := cff.PolynomialFor(n, d)
-	if err != nil {
-		return nil, err
-	}
-	high, err := familySchedule(fam)
+	high, err := schedcache.BuildBase("polynomial", n, d)
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +101,7 @@ func runE14() (*Result, error) {
 func runE15() (*Result, error) {
 	res := &Result{Pass: true}
 	const n, d = 16, 3
-	fam, err := cff.PolynomialFor(n, d)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := familySchedule(fam)
+	ns, err := schedcache.BuildBase("polynomial", n, d)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cff"
 	"repro/internal/core"
 	"repro/internal/optimize"
+	"repro/internal/schedcache"
 	"repro/internal/tablewriter"
 )
 
@@ -33,11 +33,7 @@ func runE17() (*Result, error) {
 		{12, 3, 2, 6, false},
 	}
 	for _, in := range instances {
-		fam, err := cff.Identity(in.n)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := core.ScheduleFromFamily(fam.L, fam.Sets)
+		ns, err := schedcache.BuildBase("tdma", in.n, in.d)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cff"
 	"repro/internal/core"
+	"repro/internal/schedcache"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tablewriter"
@@ -22,7 +23,7 @@ import (
 func runE1() (*Result, error) {
 	res := &Result{Pass: true}
 	const n = 6
-	full, err := familySchedule(mustIdentity(n))
+	full, err := schedcache.BuildBase("tdma", n, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -74,14 +75,6 @@ func runE1() (*Result, error) {
 	return res, nil
 }
 
-func mustIdentity(n int) *cff.Family {
-	f, err := cff.Identity(n)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // runE9 — simulation vs analysis: the saturation simulator must observe
 // exactly the analytical guaranteed per-link counts, and its minimum link
 // throughput must dominate Thr^min.
@@ -89,41 +82,13 @@ func runE9() (*Result, error) {
 	res := &Result{Pass: true}
 	tab := tablewriter.New("Simulation vs analysis (saturation, worst-case D-regular topologies)",
 		"schedule", "n", "D", "L", "analytic Thr^min", "sim min thr", "sim avg thr", "exact link match")
-	type cse struct {
-		name string
-		n, d int
-		mk   func() (*core.Schedule, error)
-	}
-	cases := []cse{
-		{"tdma", 10, 2, func() (*core.Schedule, error) { return familySchedule(mustIdentity(10)) }},
-		{"poly", 9, 2, func() (*core.Schedule, error) {
-			f, err := cff.PolynomialFor(9, 2)
-			if err != nil {
-				return nil, err
-			}
-			return familySchedule(f)
-		}},
-		{"poly-constructed", 9, 2, func() (*core.Schedule, error) {
-			f, err := cff.PolynomialFor(9, 2)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := familySchedule(f)
-			if err != nil {
-				return nil, err
-			}
-			return core.Construct(ns, core.ConstructOptions{AlphaT: 2, AlphaR: 3, D: 2})
-		}},
-		{"steiner-constructed", 12, 2, func() (*core.Schedule, error) {
-			ns, err := familySchedule(mustSteiner(12))
-			if err != nil {
-				return nil, err
-			}
-			return core.Construct(ns, core.ConstructOptions{AlphaT: 2, AlphaR: 4, D: 2})
-		}},
-	}
-	for _, c := range cases {
-		s, err := c.mk()
+	for _, c := range []scheduleCase{
+		{"tdma", "tdma", 10, 2, 0, 0},
+		{"poly", "polynomial", 9, 2, 0, 0},
+		{"poly-constructed", "polynomial", 9, 2, 2, 3},
+		{"steiner-constructed", "steiner", 12, 2, 2, 4},
+	} {
+		s, err := c.build()
 		if err != nil {
 			return nil, err
 		}
@@ -158,24 +123,12 @@ func runE9() (*Result, error) {
 	return res, nil
 }
 
-func mustSteiner(n int) *cff.Family {
-	f, err := cff.Steiner(n)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // runE10 — the energy/latency/throughput trade-off duty cycling buys,
 // swept over (αT, αR).
 func runE10() (*Result, error) {
 	res := &Result{Pass: true}
 	const n, d = 25, 2
-	fam, err := cff.PolynomialFor(n, d)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := familySchedule(fam)
+	ns, err := schedcache.BuildBase("polynomial", n, d)
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +195,7 @@ func runE10() (*Result, error) {
 func runE11() (*Result, error) {
 	res := &Result{Pass: true}
 	const n, d = 20, 3
-	fam, err := cff.PolynomialFor(n, d)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := familySchedule(fam)
+	ns, err := schedcache.BuildBase("polynomial", n, d)
 	if err != nil {
 		return nil, err
 	}

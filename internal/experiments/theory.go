@@ -5,8 +5,8 @@ import (
 	"math/big"
 
 	"repro/internal/bitset"
-	"repro/internal/cff"
 	"repro/internal/core"
+	"repro/internal/schedcache"
 	"repro/internal/stats"
 	"repro/internal/tablewriter"
 )
@@ -34,8 +34,21 @@ func randomSchedule(rng *stats.RNG, n, l int, pT, pR float64) *core.Schedule {
 	return s
 }
 
-func familySchedule(f *cff.Family) (*core.Schedule, error) {
-	return core.ScheduleFromFamily(f.L, f.Sets)
+// scheduleCase names a schedule an experiment runs: the named base for
+// N(n, D), and Construct's (αT, αR)-schedule over it when the caps are
+// set.
+type scheduleCase struct {
+	name, base     string
+	n, d           int
+	alphaT, alphaR int
+}
+
+func (c scheduleCase) build() (*core.Schedule, error) {
+	ns, err := schedcache.BuildBase(c.base, c.n, c.d)
+	if err != nil || c.alphaT == 0 {
+		return ns, err
+	}
+	return core.Construct(ns, core.ConstructOptions{AlphaT: c.alphaT, AlphaR: c.alphaR, D: c.d})
 }
 
 // cyclicSchedule builds a non-sleeping schedule with |T[i]| == k in every
@@ -163,30 +176,17 @@ func runE4() (*Result, error) {
 func constructionInputs() (map[string]*core.Schedule, map[string]int, error) {
 	inputs := map[string]*core.Schedule{}
 	ds := map[string]int{}
-	idFam, err := cff.Identity(12)
-	if err != nil {
-		return nil, nil, err
+	for _, c := range []scheduleCase{
+		{name: "tdma12", base: "tdma", n: 12, d: 3},
+		{name: "poly25", base: "polynomial", n: 25, d: 2},
+		{name: "steiner13", base: "steiner", n: 13, d: 2},
+	} {
+		s, err := c.build()
+		if err != nil {
+			return nil, nil, err
+		}
+		inputs[c.name], ds[c.name] = s, c.d
 	}
-	if inputs["tdma12"], err = familySchedule(idFam); err != nil {
-		return nil, nil, err
-	}
-	ds["tdma12"] = 3
-	polyFam, err := cff.PolynomialFor(25, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	if inputs["poly25"], err = familySchedule(polyFam); err != nil {
-		return nil, nil, err
-	}
-	ds["poly25"] = 2
-	stFam, err := cff.Steiner(13)
-	if err != nil {
-		return nil, nil, err
-	}
-	if inputs["steiner13"], err = familySchedule(stFam); err != nil {
-		return nil, nil, err
-	}
-	ds["steiner13"] = 2
 	return inputs, ds, nil
 }
 

@@ -15,9 +15,9 @@ import (
 	"math/big"
 	"sort"
 
-	"repro/internal/cff"
 	"repro/internal/combin"
 	"repro/internal/core"
+	"repro/internal/schedcache"
 	"repro/internal/sim"
 )
 
@@ -152,29 +152,13 @@ type baseCandidate struct {
 	s    *core.Schedule
 }
 
-// candidateBases builds the non-sleeping bases available for the class.
+// candidateBases builds the non-sleeping bases available for the class:
+// every named base that builds for it.
 func candidateBases(n, d int) ([]baseCandidate, error) {
 	var out []baseCandidate
-	if fam, err := cff.Identity(n); err == nil {
-		if s, err := core.ScheduleFromFamily(fam.L, fam.Sets); err == nil {
-			out = append(out, baseCandidate{"tdma", s})
-		}
-	}
-	if fam, err := cff.PolynomialFor(n, d); err == nil {
-		if s, err := core.ScheduleFromFamily(fam.L, fam.Sets); err == nil {
-			out = append(out, baseCandidate{"polynomial", s})
-		}
-	}
-	if d == 2 {
-		if fam, err := cff.Steiner(n); err == nil {
-			if s, err := core.ScheduleFromFamily(fam.L, fam.Sets); err == nil {
-				out = append(out, baseCandidate{"steiner", s})
-			}
-		}
-	}
-	if fam, err := cff.ProjectiveFor(n, d); err == nil {
-		if s, err := core.ScheduleFromFamily(fam.L, fam.Sets); err == nil {
-			out = append(out, baseCandidate{"projective", s})
+	for _, name := range schedcache.BaseNames() {
+		if s, err := schedcache.BuildBase(name, n, d); err == nil {
+			out = append(out, baseCandidate{name, s})
 		}
 	}
 	if len(out) == 0 {

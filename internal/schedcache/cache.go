@@ -17,6 +17,12 @@
 // against the cache's Limits before it is built, and the
 // hit/miss/eviction/construction counters are kept atomically and exposed
 // via Stats.
+//
+// The package also holds the one table of named base constructions
+// (BaseNames): every caller that builds a base by name goes through
+// BuildBase, or through BuildBaseLimited where a budget applies, so a
+// base's degree rule, closed-form frame length and build are written
+// once.
 package schedcache
 
 import (
@@ -426,20 +432,7 @@ func Build(k Key) (*core.Schedule, error) { return BuildLimited(k, ServingLimits
 
 // BuildLimited is Build with an explicit n×L budget.
 func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
-	// The parameter search is a cheap scalar loop; budget-check the
-	// resulting frame before materializing its slot sets.
-	params, err := cff.FindPolynomialParams(k.N, k.D)
-	if err != nil {
-		return nil, err
-	}
-	if err := lim.CheckBase(k, params.FrameLength()); err != nil {
-		return nil, err
-	}
-	slots, err := cff.PolynomialSlots(k.N, params)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := core.NonSleepingFromSets(k.N, slots)
+	ns, err := BuildBaseLimited("polynomial", k, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -461,9 +454,8 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 }
 
 // CheckBase reports whether the base schedule for k's class, whose frame
-// length l a closed form gives, fits lim's n×L budget. Every base
-// construction a cache answers for is checked this way before its sets
-// are materialized.
+// length l a closed form gives, fits lim's n×L budget. BuildBaseLimited
+// checks every base this way before its sets are materialized.
 func (lim Limits) CheckBase(k Key, l int) error {
 	if !lim.fits(k.N, l) {
 		return fmt.Errorf("schedcache: base schedule for N(%d, %d) needs frame length %d; n×L = %v exceeds the build budget %d",

@@ -44,7 +44,6 @@ package ttdc
 import (
 	"fmt"
 
-	"repro/internal/cff"
 	"repro/internal/core"
 	"repro/internal/schedcache"
 )
@@ -96,55 +95,27 @@ func NewNonSleeping(n int, t [][]int) (*Schedule, error) { return core.NonSleepi
 // node i transmits in slot i, everyone else listens. It is
 // topology-transparent for every D <= n-1, at the cost of the longest
 // per-node wait.
-func TDMA(n int) (*Schedule, error) {
-	fam, err := cff.Identity(n)
-	if err != nil {
-		return nil, err
-	}
-	return core.ScheduleFromFamily(fam.L, fam.Sets)
-}
+func TDMA(n int) (*Schedule, error) { return schedcache.BuildBase("tdma", n, 1) }
 
 // PolynomialSchedule returns a topology-transparent non-sleeping schedule
 // for N(n, D) built from the orthogonal-array (polynomial over GF(q))
 // cover-free family of Chlamtac-Farago and Ju-Li, using the smallest
 // feasible field. Frame length is q² with q the least prime power
 // admitting n nodes at degree bound D.
-func PolynomialSchedule(n, d int) (*Schedule, error) {
-	p, err := cff.FindPolynomialParams(n, d)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := cff.PolynomialSlots(n, p)
-	if err != nil {
-		return nil, err
-	}
-	return core.NonSleepingFromSets(n, slots)
-}
+func PolynomialSchedule(n, d int) (*Schedule, error) { return schedcache.BuildBase("polynomial", n, d) }
 
 // SteinerSchedule returns a topology-transparent non-sleeping schedule for
 // N(n, 2) built from a Steiner triple system (member sets are blocks;
 // distinct blocks share at most one point). Only D = 2 is supported by
 // this construction; for larger D see ProjectiveSchedule.
-func SteinerSchedule(n int) (*Schedule, error) {
-	fam, err := cff.Steiner(n)
-	if err != nil {
-		return nil, err
-	}
-	return core.ScheduleFromFamily(fam.L, fam.Sets)
-}
+func SteinerSchedule(n int) (*Schedule, error) { return schedcache.BuildBase("steiner", n, 2) }
 
 // ProjectiveSchedule returns a topology-transparent non-sleeping schedule
 // for N(n, D) whose transmission sets are lines of a projective plane
 // PG(2, p) built from a Singer difference set — the Steiner system
 // S(2, p+1, p²+p+1) generalizing triple systems to D up to p. The least
 // prime p >= D with p²+p+1 >= n is used; the frame length is p²+p+1.
-func ProjectiveSchedule(n, d int) (*Schedule, error) {
-	fam, err := cff.ProjectiveFor(n, d)
-	if err != nil {
-		return nil, err
-	}
-	return core.ScheduleFromFamily(fam.L, fam.Sets)
-}
+func ProjectiveSchedule(n, d int) (*Schedule, error) { return schedcache.BuildBase("projective", n, d) }
 
 // ScheduleFromSlotSets builds a non-sleeping schedule from per-node
 // transmission slot sets given as plain slices: node x transmits in the
