@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/schedcache"
 	"repro/internal/tablewriter"
 )
 
@@ -73,9 +72,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		c.Shards = *shards
 	}
 	// Campaign documents here come from the operator, not the network, so
-	// the cache takes TrustedLimits — million-node single-job campaigns
-	// are a supported workload, not an attack.
-	jobs, err := engine.Jobs(c, schedcache.NewTrusted(0))
+	// the jobs take TrustedLimits (nil) — million-node single-job
+	// campaigns are a supported workload, not an attack.
+	jobs, err := engine.Jobs(c, nil)
 	if err != nil {
 		return err
 	}
@@ -84,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// cannot change results, so this is purely a scheduling decision.
 	if c.Shards == 0 && len(jobs) == 1 && effectiveWorkers(*workers) > 1 {
 		c.Shards = -1
-		if jobs, err = engine.Jobs(c, schedcache.NewTrusted(0)); err != nil {
+		if jobs, err = engine.Jobs(c, nil); err != nil {
 			return err
 		}
 		fmt.Fprintln(stderr, "ttdcbatch: single-job campaign, sharding the run across CPUs (-shards -1)")

@@ -87,8 +87,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
-		capacity = fs.Int("cache", schedcache.DefaultCapacity, "max cached schedules, each with its encodings (LRU); campaign runs get a schedule cache of this size too")
-		artBytes = fs.Int64("artifact-bytes", 0, "byte budget of the cached schedules and their encodings, and one of the same size for campaign runs' schedule cache (0 = 64 MiB)")
+		capacity = fs.Int("cache", schedcache.DefaultCapacity, "max cached schedules, each with its encodings (LRU)")
+		artBytes = fs.Int64("artifact-bytes", 0, "byte budget of the cached schedules and their encodings (0 = 64 MiB)")
 		maxAge   = fs.Int("max-age", serve.DefaultMaxAge, "Cache-Control max-age seconds (negative disables)")
 		grace    = fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests and campaign runs")
 

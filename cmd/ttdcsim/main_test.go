@@ -101,6 +101,10 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run([]string{"-gen", "steiner", "-n", "12", "-D", "3"}, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Error("steiner at D = 3 accepted; it is not topology-transparent there")
 	}
+	const odd = "topology: no 3-regular graph on 9 nodes (nd odd)"
+	if err := run([]string{"-gen", "tdma", "-n", "9", "-D", "3", "-topo", "regular"}, strings.NewReader(""), &out, &errOut); err == nil || err.Error() != odd {
+		t.Errorf("regular topology on N(9, 3): error %v, want %q", err, odd)
+	}
 	if err := run(nil, strings.NewReader("not json"), &out, &errOut); err == nil {
 		t.Error("garbage stdin accepted")
 	}

@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/schedcache"
 )
 
 // benchCampaign is the fixed workload of the engine perf trajectory
-// (BENCH_engine.json): 24 saturation jobs over a duty-cycle grid with a
-// shared schedule cache, the shape a parameter search over cover-free
-// families actually has.
+// (BENCH_engine.json): 24 saturation jobs over a duty-cycle grid whose
+// duty points share one base through the campaign's memo, the shape a
+// parameter search over cover-free families actually has.
 func benchCampaign() *Campaign {
 	return &Campaign{
 		Name:         "bench",
@@ -29,7 +28,7 @@ func benchCampaign() *Campaign {
 
 func benchmarkCampaign(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		jobs, err := Jobs(benchCampaign(), schedcache.New(16))
+		jobs, err := Jobs(benchCampaign(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

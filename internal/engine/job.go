@@ -82,12 +82,10 @@ func (mm *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
 // schedKey identifies the schedule a job needs. Jobs of one campaign that
 // agree on the key share one built schedule: schedules are immutable, pure
 // functions of these fields, and construction dominates small jobs. A key
-// with zero caps and no strategy names a class's base schedule.
+// with zero caps and the zero strategy names a class's base schedule.
 type schedKey struct {
-	construction   string
-	n, d           int
-	alphaT, alphaR int
-	strategy       string
+	construction string
+	key          schedcache.Key
 }
 
 // graphKey identifies a deterministic topology build. Only the models
@@ -108,13 +106,12 @@ type ccKernelKey struct {
 
 // memos are the per-campaign build memos. Jobs hands one set to every job,
 // so the replications, topologies and duty points of a grid point pay once
-// for schedule construction (for every construction, not just the
-// polynomial one the cross-campaign cache serves), for a deterministic
-// topology (one CSR build is seconds and tens of megabytes at the
-// million-node end), and for a convergecast kernel's precomputation; the
-// immutable kernels are then run across the worker pool. A saturation job
-// builds its own kernel, which reads the schedule's role census once.
-// ExecuteJob passes the zero value, so every build runs.
+// for schedule construction, for a deterministic topology (one CSR build
+// is seconds and tens of megabytes at the million-node end), and for a
+// convergecast kernel's precomputation; the immutable kernels are then
+// run across the worker pool. A saturation job builds its own kernel,
+// which reads the schedule's role census once. ExecuteJob passes the zero
+// value, so every build runs.
 type memos struct {
 	scheds    *memo[schedKey, *ttdc.Schedule]
 	graphs    *memo[graphKey, *ttdc.Graph]
@@ -124,11 +121,10 @@ type memos struct {
 // Jobs expands the campaign and binds each spec to an executable engine
 // Job. Job i's seed is stats.DeriveSeed(c.Seed, i), so a job's result
 // depends only on the campaign seed and its own index — never on worker
-// count or completion order. cache, when non-nil, additionally memoizes
-// polynomial schedule construction across campaigns, and its limits bound
-// every construction; within the campaign every construction is shared
-// through a per-campaign memo regardless.
-func Jobs(c *Campaign, cache *schedcache.Cache[*ttdc.Schedule]) ([]Job, error) {
+// count or completion order. lim bounds every schedule the jobs build
+// (nil means schedcache.TrustedLimits), and each build is shared across
+// the campaign through a per-campaign memo.
+func Jobs(c *Campaign, lim *schedcache.Limits) ([]Job, error) {
 	specs, err := c.Expand()
 	if err != nil {
 		return nil, err
@@ -147,24 +143,25 @@ func Jobs(c *Campaign, cache *schedcache.Cache[*ttdc.Schedule]) ([]Job, error) {
 			ID:   spec.ID(),
 			Seed: jobSeed,
 			Run: func(ctx context.Context) (any, error) {
-				return executeJob(ctx, spec, jobSeed, cache, ms)
+				return executeJob(ctx, spec, jobSeed, lim, ms)
 			},
 		}
 	}
 	return jobs, nil
 }
 
-// ExecuteJob runs one grid point: build (or fetch) the schedule, build the
-// topology from the job seed, run the workload, and collect metrics.
-func ExecuteJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache[*ttdc.Schedule]) (*Metrics, error) {
-	return executeJob(ctx, spec, seed, cache, memos{})
+// ExecuteJob runs one grid point: build the schedule within lim (nil means
+// schedcache.TrustedLimits), build the topology from the job seed, run the
+// workload, and collect metrics.
+func ExecuteJob(ctx context.Context, spec JobSpec, seed uint64, lim *schedcache.Limits) (*Metrics, error) {
+	return executeJob(ctx, spec, seed, lim, memos{})
 }
 
-func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache[*ttdc.Schedule], ms memos) (*Metrics, error) {
+func executeJob(ctx context.Context, spec JobSpec, seed uint64, lim *schedcache.Limits, ms memos) (*Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := buildSchedule(spec, cache, ms.scheds)
+	s, err := buildSchedule(spec, lim, ms.scheds)
 	if err != nil {
 		return nil, err
 	}
@@ -241,58 +238,44 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 	return m, nil
 }
 
-// buildSchedule constructs the job's schedule. scheds, when non-nil,
-// shares each build across the campaign's jobs: the base schedule of a
-// (construction, n, D) class is memoized under its own key, so every duty
-// point of the class runs Construct on one base. Polynomial jobs go
-// through the cross-campaign cache instead when one is supplied. Every
-// other build is held to one set of limits — the cache's when there is
-// one, TrustedLimits otherwise — so a grid point outside its class (D >=
-// n, say) or past the n×L budget fails with the error a cache would give,
-// checked from closed forms before anything is materialized, not a panic
-// in the build. Both layers are singleflight under concurrency.
-func buildSchedule(spec JobSpec, cache *schedcache.Cache[*ttdc.Schedule], scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
+// buildSchedule constructs the job's schedule within lim (nil means
+// schedcache.TrustedLimits). scheds, when non-nil, shares each build
+// across the campaign's jobs: the base schedule of a (construction, n, D)
+// class is memoized under its own key, so every duty point of the class
+// runs Construct on one base. The key is validated, the base built
+// through schedcache.BuildBaseLimited and each duty point through
+// schedcache.ConstructLimited, so a grid point outside its class (D >= n,
+// say) or past the n×L budget fails with the limits' error, checked from
+// closed forms before anything is materialized, not a panic in the build.
+// Both memo layers are singleflight under concurrency.
+func buildSchedule(spec JobSpec, lim *schedcache.Limits, scheds *memo[schedKey, *ttdc.Schedule]) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	baseKey := schedKey{construction: spec.Construction, n: spec.N, d: spec.D}
-	key := baseKey
-	if spec.AlphaT != 0 || spec.AlphaR != 0 {
-		key.alphaT, key.alphaR, key.strategy = spec.AlphaT, spec.AlphaR, schedcache.StrategyName(strategy)
+	bounds := schedcache.TrustedLimits
+	if lim != nil {
+		bounds = *lim
 	}
 	ck := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-	lim := schedcache.TrustedLimits
-	if cache != nil {
-		if spec.Construction == "polynomial" {
-			// Get validates against the cache's own limits — serving bounds
-			// for HTTP-fed caches, TrustedLimits for the local CLIs.
-			return scheds.get(key, func() (*ttdc.Schedule, error) { return cache.Get(ck) })
-		}
-		lim = cache.Limits()
-	}
-	if err := lim.Validate(ck); err != nil {
+	if err := bounds.Validate(ck); err != nil {
 		return nil, err
 	}
+	baseKey := schedKey{construction: spec.Construction, key: schedcache.Key{N: spec.N, D: spec.D}}
 	base := func() (*ttdc.Schedule, error) {
 		return scheds.get(baseKey, func() (*ttdc.Schedule, error) {
-			return schedcache.BuildBaseLimited(spec.Construction, schedcache.Key{N: spec.N, D: spec.D}, lim)
+			return schedcache.BuildBaseLimited(spec.Construction, baseKey.key, bounds)
 		})
 	}
-	if key == baseKey {
+	if spec.AlphaT == 0 && spec.AlphaR == 0 {
 		return base()
 	}
-	return scheds.get(key, func() (*ttdc.Schedule, error) {
+	return scheds.get(schedKey{construction: spec.Construction, key: ck}, func() (*ttdc.Schedule, error) {
 		b, err := base()
 		if err != nil {
 			return nil, err
 		}
-		if err := lim.CheckConstruct(ck, b); err != nil {
-			return nil, err
-		}
-		return ttdc.Construct(b, ttdc.ConstructOptions{
-			AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, D: spec.D, Strategy: strategy,
-		})
+		return schedcache.ConstructLimited(b, ck, bounds)
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	ttdc "repro"
 	"repro/internal/schedcache"
 	"repro/internal/stats"
 )
@@ -70,8 +69,8 @@ func TestJobsJournalMatchesExecuteJob(t *testing.T) {
 }
 
 // TestOutOfClassJobsFailWithoutCache runs analysis jobs outside their
-// base's class through the paths that have no schedule cache —
-// ExecuteJob and Jobs(c, nil) with Run — and through a trusted cache:
+// base's class through ExecuteJob, with nil limits and with explicit
+// TrustedLimits, and through Jobs(c, nil) with Run:
 // D at least n for every named base, Steiner at D = 3, where it is not
 // topology-transparent, TDMA at N(46341, 1), whose n² frame cells
 // exceed TrustedLimits' 2^31, and a (1, 1)-schedule for N(4096, 2),
@@ -99,9 +98,9 @@ func TestOutOfClassJobsFailWithoutCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cache := range []*schedcache.Cache[*ttdc.Schedule]{nil, schedcache.NewTrusted(4)} {
-			if _, err := ExecuteJob(context.Background(), specs[0], 1, cache); err == nil || err.Error() != tc.want {
-				t.Errorf("%s N(%d, %d): ExecuteJob (cache %v) error = %v, want %q", tc.construction, tc.n, tc.d, cache != nil, err, tc.want)
+		for _, lim := range []*schedcache.Limits{nil, &schedcache.TrustedLimits} {
+			if _, err := ExecuteJob(context.Background(), specs[0], 1, lim); err == nil || err.Error() != tc.want {
+				t.Errorf("%s N(%d, %d): ExecuteJob (limits %v) error = %v, want %q", tc.construction, tc.n, tc.d, lim, err, tc.want)
 			}
 		}
 		jobs, err := Jobs(c, nil)

@@ -5,7 +5,7 @@
 // deployment wants every distinct key built exactly once.
 //
 // Cache is a concurrency-safe LRU memo of any value built from a Key: the
-// schedule itself (New, for the campaign engine and its CLIs), or a value
+// schedule itself (New, the root package's ScheduleCache), or a value
 // derived from it, such as the serving tier's artifact, which then keeps
 // a schedule and its encodings in one entry under one set of bounds. A
 // cache is bounded by entry count and, optionally, by the summed byte
@@ -22,7 +22,9 @@
 // (BaseNames): every caller that builds a base by name goes through
 // BuildBase, or through BuildBaseLimited where a budget applies, so a
 // base's degree rule, closed-form frame length and build are written
-// once.
+// once. ConstructLimited turns such a base into a duty-cycled schedule
+// under the same budget: the two are the one bounded build, for this
+// package's caches and the campaign engine alike.
 package schedcache
 
 import (
@@ -32,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cff"
 	"repro/internal/core"
 )
 
@@ -61,10 +62,11 @@ const MaxN = 1 << 16
 // rejection is O(1)-ish, never a partial build.
 const maxBuildCells = 1 << 26
 
-// Limits bounds what a cache will validate and construct. The right
-// bounds depend on who is asking: a serving deployment takes keys from
-// the network and must cap what one request can allocate, while an
-// operator running a local campaign asked for that footprint on purpose.
+// Limits bounds what a cache or a campaign will validate and construct.
+// The right bounds depend on who is asking: a serving deployment takes
+// keys from the network and must cap what one request can allocate, while
+// an operator running a local campaign asked for that footprint on
+// purpose.
 type Limits struct {
 	// MaxN bounds the class size n.
 	MaxN int
@@ -230,23 +232,13 @@ type Cache[V any] struct {
 const DefaultCapacity = 1024
 
 // New returns a cache holding at most capacity schedules (DefaultCapacity
-// when capacity <= 0), bounded by ServingLimits.
-func New(capacity int) *Cache[*core.Schedule] { return NewWithLimits(capacity, ServingLimits) }
-
-// NewTrusted is New with TrustedLimits: for local operator tooling whose
-// keys were typed by the person who will watch the memory they allocate.
-func NewTrusted(capacity int) *Cache[*core.Schedule] {
-	return NewWithLimits(capacity, TrustedLimits)
-}
-
-// NewWithLimits returns a cache holding at most capacity schedules
-// (DefaultCapacity when capacity <= 0) validating keys against lim and
-// building them with BuildLimited.
-func NewWithLimits(capacity int, lim Limits) *Cache[*core.Schedule] {
+// when capacity <= 0), validating keys against ServingLimits and building
+// them with Build.
+func New(capacity int) *Cache[*core.Schedule] {
 	return NewCache(Config[*core.Schedule]{
 		Capacity: capacity,
-		Limits:   lim,
-		Build:    func(k Key) (*core.Schedule, error) { return BuildLimited(k, lim) },
+		Limits:   ServingLimits,
+		Build:    Build,
 		Size:     ScheduleBytes,
 	})
 }
@@ -263,9 +255,6 @@ func NewCache[V any](cfg Config[V]) *Cache[V] {
 		inflight: make(map[Key]*call[V]),
 	}
 }
-
-// Limits returns the validation bounds this cache was built with.
-func (c *Cache[V]) Limits() Limits { return c.cfg.Limits }
 
 // Len returns the current number of cached values.
 func (c *Cache[V]) Len() int {
@@ -396,19 +385,6 @@ func ScheduleBytes(s *core.Schedule) int64 {
 	return 8*(2*l*slotWords+2*n*nodeWords) + sets*setOverhead
 }
 
-// BaseFrameLength returns the closed-form frame length q² of the
-// polynomial base schedule for N(n, D) without materializing anything —
-// only the O(q) parameter search runs. The background warmer budgets a
-// whole duty-point lattice from this plus PredictedCells before building
-// a single schedule.
-func BaseFrameLength(n, d int) (int, error) {
-	params, err := cff.FindPolynomialParams(n, d)
-	if err != nil {
-		return 0, err
-	}
-	return params.FrameLength(), nil
-}
-
 // PredictedCells returns the n×L footprint key k will occupy once built,
 // given its class's base schedule ns: Theorem 7's frame length for
 // duty-cycled keys, ns.L() itself for the base. This is the same closed
@@ -418,8 +394,14 @@ func PredictedCells(k Key, ns *core.Schedule) int64 {
 	if k.AlphaT == 0 && k.AlphaR == 0 {
 		return int64(k.N) * int64(ns.L())
 	}
+	return int64(k.N) * int64(constructedFrameLength(k, ns))
+}
+
+// constructedFrameLength is Theorem 7's frame length of Construct's
+// (αT, αR)-schedule for k over the base ns.
+func constructedFrameLength(k Key, ns *core.Schedule) int {
 	aStar := core.OptimalTransmittersCapped(k.N, k.D, k.AlphaT)
-	return int64(k.N) * int64(core.ConstructedFrameLength(ns, aStar, k.AlphaR))
+	return core.ConstructedFrameLength(ns, aStar, k.AlphaR)
 }
 
 // Build constructs the schedule for k without any caching: the polynomial
@@ -439,6 +421,16 @@ func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
 	if k.AlphaT == 0 && k.AlphaR == 0 {
 		return ns, nil
 	}
+	return ConstructLimited(ns, k, lim)
+}
+
+// ConstructLimited is the paper's Construct held to lim: it turns the
+// base ns of k's class into k's (αT, αR)-schedule, with k's caps, degree
+// bound and division strategy, once the caps fit n and Theorem 7's frame
+// length fits the n×L budget. k must name a duty-cycled key that lim
+// validated; BuildLimited and the campaign engine build every
+// duty-cycled schedule this way.
+func ConstructLimited(ns *core.Schedule, k Key, lim Limits) (*core.Schedule, error) {
 	if k.AlphaT+k.AlphaR > k.N {
 		return nil, fmt.Errorf("schedcache: Construct requires αT + αR <= n (got %d + %d > %d)", k.AlphaT, k.AlphaR, k.N)
 	}
@@ -469,9 +461,7 @@ func (lim Limits) CheckBase(k Key, l int) error {
 // its frame length in closed form, so the check runs before the
 // expansion.
 func (lim Limits) CheckConstruct(k Key, ns *core.Schedule) error {
-	aStar := core.OptimalTransmittersCapped(k.N, k.D, k.AlphaT)
-	l := core.ConstructedFrameLength(ns, aStar, k.AlphaR)
-	if !lim.fits(k.N, l) {
+	if l := constructedFrameLength(k, ns); !lim.fits(k.N, l) {
 		return fmt.Errorf("schedcache: (%d, %d)-schedule for N(%d, %d) needs frame length %d; n×L = %v exceeds the build budget %d",
 			k.AlphaT, k.AlphaR, k.N, k.D, l, cells(k.N, l), lim.MaxCells)
 	}

@@ -76,17 +76,13 @@ func TestKeyValidate(t *testing.T) {
 }
 
 // TestTrustedLimits pins the serving/trusted split: the same key that the
-// network-facing bounds reject builds fine through a trusted cache.
+// network-facing bounds reject builds fine under TrustedLimits.
 func TestTrustedLimits(t *testing.T) {
 	k := Key{N: MaxN + 1, D: 2}
 	if _, err := New(2).Get(k); err == nil {
 		t.Fatal("serving cache accepted n above MaxN")
 	}
-	c := NewTrusted(2)
-	if got := c.Limits(); got != TrustedLimits {
-		t.Fatalf("Limits() = %+v, want TrustedLimits", got)
-	}
-	s, err := c.Get(k)
+	s, err := BuildLimited(k, TrustedLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +90,8 @@ func TestTrustedLimits(t *testing.T) {
 		t.Fatalf("trusted build covers %d nodes, want >= %d", s.N(), k.N)
 	}
 	// Trusted is not unbounded: a typo-sized class still fails fast.
-	if _, err := c.Get(Key{N: TrustedLimits.MaxN + 1, D: 2}); err == nil {
-		t.Fatal("trusted cache accepted n above TrustedLimits.MaxN")
+	if _, err := BuildLimited(Key{N: TrustedLimits.MaxN + 1, D: 2}, TrustedLimits); err == nil {
+		t.Fatal("trusted build accepted n above TrustedLimits.MaxN")
 	}
 }
 
@@ -143,7 +139,7 @@ func TestBuildBudget(t *testing.T) {
 
 // TestBuildBudgetNoOverflow: the budget holds where n×L leaves the int64
 // range. At TrustedLimits' largest class, N(2^21, 2^21-1), the polynomial
-// base needs q = 2^21 and so 2^42 slots (BaseFrameLength says so, after a
+// base needs q = 2^21 and so 2^42 slots (its closed form says so, after a
 // parameter search too slow for this suite); n×L = 2^63 would wrap
 // negative and pass a multiplied check.
 func TestBuildBudgetNoOverflow(t *testing.T) {
@@ -509,12 +505,5 @@ func TestPredictedCells(t *testing.T) {
 	}
 	if got, want := PredictedCells(k, base), int64(25*duty.L()); got != want {
 		t.Fatalf("PredictedCells = %d, but the built schedule occupies %d", got, want)
-	}
-	l, err := BaseFrameLength(25, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != base.L() {
-		t.Fatalf("BaseFrameLength = %d, built base L = %d", l, base.L())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/schedcache"
 )
@@ -44,15 +43,12 @@ type campaignRun struct {
 //	GET  /jobs        list runs in submission order
 //	GET  /jobs/{id}   progress snapshot; full results once done
 //
-// Runs execute in-process on the engine worker pool and share one
-// schedule cache, so repeated grid points across campaigns hit warm
-// schedules; its limits bound every construction a run asks for. Every
-// accepted run is tracked by a WaitGroup so a shutting-down server can
-// Drain: wait for accepted work, cancelling it if the drain deadline
+// Runs execute in-process on the engine worker pool, and the serving
+// limits bound every schedule a run builds, as they bound /schedule.
+// Every accepted run is tracked by a WaitGroup so a shutting-down server
+// can Drain: wait for accepted work, cancelling it if the drain deadline
 // expires first.
 type Jobs struct {
-	cache *schedcache.Cache[*core.Schedule]
-
 	// baseCtx parents every run; cancel aborts them all when a drain
 	// deadline expires.
 	baseCtx  context.Context
@@ -66,11 +62,11 @@ type Jobs struct {
 	seq   int
 }
 
-// NewJobs builds the campaign API over cache.
-func NewJobs(cache *schedcache.Cache[*core.Schedule]) *Jobs {
+// NewJobs builds the campaign API.
+func NewJobs() *Jobs {
 	//lint:ignore ctxcancel cancel is retained on the struct: Drain calls it when its deadline expires, aborting in-flight campaign runs
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Jobs{cache: cache, baseCtx: ctx, cancel: cancel, runs: make(map[string]*campaignRun)}
+	return &Jobs{baseCtx: ctx, cancel: cancel, runs: make(map[string]*campaignRun)}
 }
 
 // Drain blocks until every accepted campaign run has finished. If ctx
@@ -123,7 +119,7 @@ func (a *Jobs) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	jobs, err := engine.Jobs(c, a.cache)
+	jobs, err := engine.Jobs(c, &schedcache.ServingLimits)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/schedcache"
+	"repro/internal/stats"
 )
 
 func postCampaign(t *testing.T, ts *httptest.Server, doc string) submitResponse {
@@ -193,49 +194,71 @@ func TestJobsListAndMetrics(t *testing.T) {
 	}
 }
 
-// TestJobsCacheBytesBound: campaign runs' schedule cache is held to the
-// service's byte budget and reports under "jobs_cache" in /metrics. The
-// campaigns' schedules outweigh the budget several times over; what stays
-// resident is within it, and the most recent schedule fits and stays.
-func TestJobsCacheBytesBound(t *testing.T) {
-	const budget = 1 << 20
-	ts := httptest.NewServer(NewHandler(NewServiceBytes(64, budget), Options{}))
+// TestJobOutcomeSameAtEveryEntryPoint: a job's outcome does not depend on
+// the entry point that runs it. Each campaign below runs through lone
+// ExecuteJob calls with nil limits, through Jobs with TrustedLimits and
+// Run, and through POST /jobs, and all three must give every job the same
+// status, error text and result bytes. Construct refuses the first job's
+// caps with an error text of its own, so the first job fails alike only
+// where every entry point checks the caps before Construct runs.
+func TestJobOutcomeSameAtEveryEntryPoint(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(NewService(0), Options{}))
 	defer ts.Close()
-	var scheduleBytes int64
-	for n := 124; n >= 64; n -= 10 {
-		s, err := schedcache.Build(schedcache.Key{N: n, D: 2, AlphaT: 2, AlphaR: 4})
+	ctx := context.Background()
+	for _, tc := range []struct{ doc, fail string }{
+		{`{"n":[9],"d":[2],"duty":[{"alphaT":5,"alphaR":5}]}`,
+			"schedcache: Construct requires αT + αR <= n (got 5 + 5 > 9)"},
+		{`{"construction":"steiner","n":[12],"d":[3]}`,
+			"schedcache: steiner construction supports D = 2 only (got 3)"},
+		{`{"n":[25],"d":[2],"duty":[{"alphaT":3,"alphaR":5}]}`, ""},
+		{`{"n":[25],"d":[2],"duty":[{"alphaT":3,"alphaR":5}],"strategy":"balanced"}`, ""},
+		{`{"n":[25],"d":[2]}`, ""},
+	} {
+		c, err := engine.DecodeCampaign(strings.NewReader(tc.doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		scheduleBytes += schedcache.ScheduleBytes(s)
-		sub := postCampaign(t, ts, fmt.Sprintf(`{"n":[%d],"d":[2],"duty":[{"alphaT":2,"alphaR":4}],"workload":"analysis"}`, n))
-		if st := awaitDone(t, ts, sub.ID); st.State != stateDone || len(st.FailedJobs) != 0 {
-			t.Fatalf("n=%d: state %s, failed %v", n, st.State, st.FailedJobs)
+		specs, err := c.Expand()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if scheduleBytes <= 2*budget {
-		t.Fatalf("the campaigns' schedules total %d bytes; the test needs well over the %d budget", scheduleBytes, budget)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close() //nolint:errcheck // test
-	var metrics struct {
-		JobsCache *schedcache.Stats `json:"jobs_cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	st := metrics.JobsCache
-	if st == nil {
-		t.Fatal(`/metrics has no "jobs_cache" block`)
-	}
-	if st.CapacityBytes != budget || st.Bytes > budget {
-		t.Fatalf("jobs cache holds %d bytes against a %d-byte bound, want at most %d: %+v", st.Bytes, st.CapacityBytes, budget, st)
-	}
-	if st.Constructions != 7 || st.Entries == 0 || st.Evictions == 0 {
-		t.Fatalf("want seven builds, the last schedule resident and earlier ones evicted: %+v", st)
+		var lone []engine.Record
+		for i, spec := range specs {
+			rec := engine.Record{Index: i, ID: spec.ID(), Seed: stats.DeriveSeed(c.Seed, uint64(i)), Status: engine.StatusOK}
+			m, err := engine.ExecuteJob(ctx, spec, rec.Seed, nil)
+			if err != nil {
+				rec.Status, rec.Error = engine.StatusFail, err.Error()
+			} else if rec.Result, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			lone = append(lone, rec)
+		}
+		jobs, err := engine.Jobs(c, &schedcache.TrustedLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := engine.New(engine.Options{}).Run(ctx, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := awaitDone(t, ts, postCampaign(t, ts, tc.doc).ID)
+		if len(rep.Records) != len(lone) || len(served.Results) != len(lone) {
+			t.Fatalf("%s: %d lone jobs, %d run, %d served", tc.doc, len(lone), len(rep.Records), len(served.Results))
+		}
+		outcome := func(r engine.Record) string {
+			return fmt.Sprintf("%s (seed %d) %s: error %q, result %s", r.ID, r.Seed, r.Status, r.Error, r.Result)
+		}
+		for i, want := range lone {
+			if (tc.fail == "") != (want.Status == engine.StatusOK) || want.Error != tc.fail {
+				t.Errorf("%s: ExecuteJob gave %s, want error %q", tc.doc, outcome(want), tc.fail)
+			}
+			if got := outcome(rep.Records[i]); got != outcome(want) {
+				t.Errorf("%s: Jobs and Run gave %s, ExecuteJob %s", tc.doc, got, outcome(want))
+			}
+			if got := outcome(served.Results[i]); got != outcome(want) {
+				t.Errorf("%s: POST /jobs gave %s, ExecuteJob %s", tc.doc, got, outcome(want))
+			}
+		}
 	}
 }
 

@@ -80,17 +80,14 @@ type Service struct {
 
 // NewService builds a service whose artifact cache holds at most capacity
 // artifacts (schedcache.DefaultCapacity when <= 0) within
-// DefaultArtifactBytes. Campaign runs get a schedule cache of their own
-// with the same capacity, byte budget and serving limits.
+// DefaultArtifactBytes.
 func NewService(capacity int) *Service {
 	return NewServiceBytes(capacity, 0)
 }
 
 // NewServiceBytes is NewService with an explicit byte budget (<= 0 means
 // DefaultArtifactBytes). The artifact cache holds each artifact's schedule
-// and its encodings within it, and the campaign runs' schedule cache,
-// sized by schedcache.ScheduleBytes, holds its schedules within another
-// budget of the same size.
+// and its encodings within it.
 func NewServiceBytes(capacity int, artifactBytes int64) *Service {
 	if artifactBytes <= 0 {
 		artifactBytes = DefaultArtifactBytes
@@ -103,13 +100,7 @@ func NewServiceBytes(capacity int, artifactBytes int64) *Service {
 			Build:    newArtifact,
 			Size:     (*Artifact).bytes,
 		}),
-		jobs: NewJobs(schedcache.NewCache(schedcache.Config[*core.Schedule]{
-			Capacity: capacity,
-			MaxBytes: artifactBytes,
-			Limits:   schedcache.ServingLimits,
-			Build:    schedcache.Build,
-			Size:     schedcache.ScheduleBytes,
-		})),
+		jobs: NewJobs(),
 	}
 }
 

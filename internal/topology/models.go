@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/stats"
@@ -64,9 +65,11 @@ func Seeded(kind string) bool {
 }
 
 // Model builds the named model's graph, drawing a seeded model from
-// stats.NewRNG(seed). It panics, as the generators do, on arguments the
-// model cannot take.
-func Model(kind string, n, d int, radius float64, seed uint64) (*Graph, error) {
+// stats.NewRNG(seed). Model is where CLI flags and campaign documents
+// reach the generators, so the message a generator panics with on
+// arguments the model cannot take (a 3-regular graph on 9 nodes, say)
+// comes back as the error; any other panic is a fault and propagates.
+func Model(kind string, n, d int, radius float64, seed uint64) (g *Graph, err error) {
 	m := lookupModel(kind)
 	if m == nil {
 		return nil, fmt.Errorf("topology: unknown model %q", kind)
@@ -75,5 +78,14 @@ func Model(kind string, n, d int, radius float64, seed uint64) (*Graph, error) {
 	if m.seeded {
 		rng = stats.NewRNG(seed)
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			msg, ok := p.(string)
+			if !ok {
+				panic(p)
+			}
+			g, err = nil, errors.New(msg)
+		}
+	}()
 	return m.build(n, d, radius, rng), nil
 }

@@ -8,7 +8,8 @@ import (
 
 // TestModels: every named model builds, the seeded ones give one graph
 // per seed and a different one for another seed, the others ignore the
-// seed, and an unknown name is an error rather than a panic.
+// seed, and an unknown name or a class the model cannot take is an error
+// rather than a panic.
 func TestModels(t *testing.T) {
 	if got := ModelNames(); !slices.Equal(got, []string{"regular", "ring", "grid", "geometric", "random"}) {
 		t.Fatalf("ModelNames() = %v", got)
@@ -34,5 +35,9 @@ func TestModels(t *testing.T) {
 	}
 	if _, err := Model("klein-bottle", 40, 4, 0.3, 1); err == nil || Seeded("klein-bottle") {
 		t.Error("unknown model accepted")
+	}
+	const odd = "topology: no 3-regular graph on 9 nodes (nd odd)"
+	if g, err := Model("regular", 9, 3, 0.3, 1); g != nil || err == nil || err.Error() != odd {
+		t.Errorf("regular N(9, 3) = %v, %v; want no graph and %q", g, err, odd)
 	}
 }
